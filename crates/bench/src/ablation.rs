@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use htapg_core::engine::{StorageEngine, StorageEngineExt};
+use htapg_core::engine::StorageEngine;
 use htapg_core::{DataType, Value};
 use htapg_device::{DeviceSpec, SimDevice};
 use htapg_engines::gputx::TxOp;
@@ -78,12 +78,12 @@ pub fn layout_mix(seed: u64) -> String {
         let warm_positions = sorted_positions(&mut rng, n, 64);
         for _ in 0..10 {
             engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
-            engine.materialize(rel, &warm_positions).unwrap();
+            engine.materialize_rows(rel, &warm_positions).unwrap();
         }
         engine.maintain().unwrap();
         let ms = min_time_ms(3, || {
             engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
-            engine.materialize(rel, &warm_positions).unwrap();
+            engine.materialize_rows(rel, &warm_positions).unwrap();
         });
         names.push(engine.name().to_string());
         vals.push(ms);
@@ -204,12 +204,12 @@ pub fn lstore_merge(seed: u64) -> String {
         for i in 0..updates {
             e.update_field(rel, (i * 31) % n, item_attr::I_PRICE, &Value::Float64(2.0)).unwrap();
         }
-        let read_ms = min_time_ms(3, || e.materialize(rel, &probe).unwrap());
+        let read_ms = min_time_ms(3, || e.materialize_rows(rel, &probe).unwrap());
         let scan_ms = min_time_ms(3, || e.sum_column_f64(rel, item_attr::I_PRICE).unwrap());
         rows.push((updates, vec![read_ms, scan_ms, e.tail_len(rel).unwrap() as f64]));
     }
     e.maintain().unwrap();
-    let read_ms = min_time_ms(3, || e.materialize(rel, &probe).unwrap());
+    let read_ms = min_time_ms(3, || e.materialize_rows(rel, &probe).unwrap());
     let scan_ms = min_time_ms(3, || e.sum_column_f64(rel, item_attr::I_PRICE).unwrap());
     let mut out = render_sweep(
         "A6 — L-Store: cost vs unmerged tail (50k items, 256-record probe)",

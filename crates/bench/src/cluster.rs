@@ -22,11 +22,11 @@
 //! prices under the single-node plan).
 
 use htapg_core::engine::StorageEngine;
-use htapg_core::plan::{LogicalPlan, Predicate, Route};
+use htapg_core::plan::{Aggregate, LogicalPlan, Predicate, Route};
 use htapg_core::prng::Prng;
 use htapg_core::{DataType, Schema, ShardingKind, Value};
 use htapg_device::cluster::NetSpec;
-use htapg_exec::physical::{self, canonical_filter_sum, canonical_sum};
+use htapg_exec::physical::{self, Segmentation};
 use htapg_exec::{ShardedEngine, ThreadingPolicy};
 
 /// The scaling ladder of the acceptance sweep.
@@ -90,8 +90,9 @@ pub fn measure_with(seed: u64, rows: u64, node_counts: &[u32]) -> Vec<ClusterPoi
     let pred = Predicate::Ge(70_000.0);
     // The flat single-node oracles: the whole sweep must reproduce these
     // bits at every node count (see `partition_rows`).
-    let want_sum = canonical_sum(&values);
-    let want_filter = canonical_filter_sum(&values, &pred);
+    let flat = |agg| physical::reduce(&agg, &values, &[], Segmentation::Canonical, None).as_sum();
+    let want_sum = flat(Aggregate::Sum).expect("sum");
+    let want_filter = flat(Aggregate::FilterSum(pred)).expect("filter sum");
 
     let mut points = Vec::new();
     for &nodes in node_counts {

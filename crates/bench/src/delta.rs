@@ -17,6 +17,8 @@
 //! a semantics change.
 
 use htapg_core::engine::StorageEngine;
+use htapg_core::plan::{Aggregate, Route};
+use htapg_core::RelationId;
 use htapg_engines::ReferenceEngine;
 use htapg_workload::driver::{apply_write_burst, load_items};
 use htapg_workload::tpcc::{item_attr, Generator};
@@ -67,6 +69,13 @@ pub fn measure(seed: u64, quick: bool) -> Vec<DeltaPoint> {
     measure_with(seed, table_rows(quick), &write_rates(quick))
 }
 
+/// `SUM(i_price)` on the device route: the engine builds, delta-merges or
+/// reuses its replica, then reduces it.
+fn device_sum(engine: &ReferenceEngine, rel: RelationId) -> Option<f64> {
+    let agg = Aggregate::Sum;
+    engine.offload_aggregate(rel, item_attr::I_PRICE, &agg, Route::DevicePipelined).ok()?.as_sum()
+}
+
 /// Run the write-rate sweep on a `rows`-row item table. Both engines see
 /// identical loads and identical update streams; each rate runs one settle
 /// round and one measured round so the shipping side is in its steady
@@ -79,8 +88,8 @@ pub fn measure_with(seed: u64, rows: u64, rates: &[u64]) -> Vec<DeltaPoint> {
     let rel_c = load_items(&cliff, &gen, rows).expect("load cliff table");
     cliff.cache().set_delta_shipping(false);
     // Place the replica on both sides before anything is measured.
-    let warm_s = ship.device_sum_column(rel_s, item_attr::I_PRICE).expect("warm ship");
-    let warm_c = cliff.device_sum_column(rel_c, item_attr::I_PRICE).expect("warm cliff");
+    let warm_s = device_sum(&ship, rel_s).expect("warm ship");
+    let warm_c = device_sum(&cliff, rel_c).expect("warm cliff");
     assert_eq!(warm_s.to_bits(), warm_c.to_bits(), "warm sums must agree bit-for-bit");
 
     let mut points = Vec::new();
@@ -95,10 +104,10 @@ pub fn measure_with(seed: u64, rows: u64, rates: &[u64]) -> Vec<DeltaPoint> {
                 .expect("cliff burst");
             offset += w;
             let before_s = ship.device().ledger().snapshot();
-            let sum_s = ship.device_sum_column(rel_s, item_attr::I_PRICE).expect("ship sum");
+            let sum_s = device_sum(&ship, rel_s).expect("ship sum");
             let d_s = ship.device().ledger().snapshot().since(&before_s);
             let before_c = cliff.device().ledger().snapshot();
-            let sum_c = cliff.device_sum_column(rel_c, item_attr::I_PRICE).expect("cliff sum");
+            let sum_c = device_sum(&cliff, rel_c).expect("cliff sum");
             let d_c = cliff.device().ledger().snapshot().since(&before_c);
             assert_eq!(
                 sum_s.to_bits(),

@@ -37,13 +37,12 @@ use std::sync::Arc;
 
 use htapg_taxonomy::Classification;
 
-use crate::costmodel::CacheSpec;
 use crate::engine::{MaintenanceReport, StorageEngine};
 use crate::error::Result;
 use crate::obs;
 use crate::plan::{
-    self, ColumnEvidence, DeviceCostProfile, EngineCapabilities, LogicalPlan, PhysicalPlan,
-    Predicate, TableEvidence,
+    Aggregate, ColumnEvidence, DeviceCostProfile, EngineCapabilities, QueryOutput, Route,
+    ShardPlanEvidence, TableEvidence,
 };
 use crate::schema::{AttrId, Record, RelationId, RowId, Schema};
 use crate::types::Value;
@@ -383,38 +382,18 @@ impl StorageEngine for Calibrated {
         self.inner.table_evidence(rel)
     }
 
-    fn plan(&self, logical: &LogicalPlan) -> Result<PhysicalPlan> {
-        let caps = self.capabilities();
-        let device = self.device_cost_profile();
-        let cache = CacheSpec::default();
-        plan::build_plan(
-            logical,
-            &plan::PlannerContext {
-                caps: &caps,
-                device: device.as_ref(),
-                cache: &cache,
-                calibration: Some(&self.profiles),
-            },
-            &mut |rel, attr| self.column_evidence(rel, attr),
-            &mut |rel| self.table_evidence(rel),
-        )
+    fn shard_evidence(&self, rel: RelationId, attr: AttrId) -> Result<Option<ShardPlanEvidence>> {
+        self.inner.shard_evidence(rel, attr)
     }
 
-    fn device_sum_column(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        self.inner.device_sum_column(rel, attr)
-    }
-
-    fn device_filter_sum(&self, rel: RelationId, attr: AttrId, pred: &Predicate) -> Result<f64> {
-        self.inner.device_filter_sum(rel, attr, pred)
-    }
-
-    fn device_group_sum(
+    fn offload_aggregate(
         &self,
         rel: RelationId,
-        key_attr: AttrId,
-        value_attr: AttrId,
-    ) -> Result<Vec<(i64, f64)>> {
-        self.inner.device_group_sum(rel, key_attr, value_attr)
+        attr: AttrId,
+        agg: &Aggregate,
+        route: Route,
+    ) -> Result<QueryOutput> {
+        self.inner.offload_aggregate(rel, attr, agg, route)
     }
 
     fn trace_clock(&self) -> Option<Arc<dyn obs::VirtualClock>> {

@@ -14,8 +14,8 @@ use crate::costmodel::CacheSpec;
 use crate::error::{Error, Result};
 use crate::obs;
 use crate::plan::{
-    self, ColumnEvidence, DeviceCostProfile, EngineCapabilities, LogicalPlan, PhysicalPlan,
-    Predicate, TableEvidence,
+    self, Aggregate, ColumnEvidence, DeviceCostProfile, EngineCapabilities, LogicalPlan,
+    PhysicalPlan, QueryOutput, Route, TableEvidence,
 };
 use crate::schema::{AttrId, Record, RelationId, RowId, Schema};
 use crate::types::Value;
@@ -234,57 +234,22 @@ pub trait StorageEngine: Send + Sync {
         None
     }
 
-    /// Device route for `SUM(attr)`: answer from device memory, charging
-    /// virtual transfer/kernel time to the engine's ledger. The default
-    /// has no device; the physical executor falls back to the host
-    /// canonical reduction on any error, so a stale replica degrades
-    /// gracefully (and bit-identically).
-    fn device_sum_column(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        let _ = (rel, attr);
-        Err(Error::Internal("engine has no device sum".into()))
-    }
-
-    /// Device route for the fused `SUM(attr) WHERE pred(attr)` shape.
-    fn device_filter_sum(&self, rel: RelationId, attr: AttrId, pred: &Predicate) -> Result<f64> {
-        let _ = (rel, attr, pred);
-        Err(Error::Internal("engine has no device filter-sum".into()))
-    }
-
-    /// Device route for `SUM(value) GROUP BY key`: gather each group's
-    /// values from a resident replica (preserving row order) and reduce
-    /// per group. Returns `(key, sum)` ordered by key.
-    fn device_group_sum(
+    /// Run an aggregate over `attr` on the engine's own device or shards
+    /// (`route` is [`Route::DevicePipelined`] or [`Route::Scatter`]),
+    /// charging virtual transfer/kernel/network time to the engine's
+    /// ledger. The default has neither. On any error but
+    /// [`Error::NonNumericAggregate`] the physical executor falls back to
+    /// the host reduction of the same geometry, so a stale replica or a
+    /// failed gather degrades gracefully — and bit-identically.
+    fn offload_aggregate(
         &self,
         rel: RelationId,
-        key_attr: AttrId,
-        value_attr: AttrId,
-    ) -> Result<Vec<(i64, f64)>> {
-        let _ = (rel, key_attr, value_attr);
-        Err(Error::Internal("engine has no device group-sum".into()))
-    }
-
-    /// Scatter route for `SUM(attr)` (optionally predicated): fan the
-    /// partial sums out to the owning cluster nodes and gather them in
-    /// canonical fragment order. Only sharded engines implement this; the
-    /// physical executor falls back to the host path (same sharded
-    /// reduction geometry) on any error, so a failed gather degrades
-    /// gracefully — and bit-identically.
-    fn scatter_sum(&self, rel: RelationId, attr: AttrId, pred: Option<&Predicate>) -> Result<f64> {
-        let _ = (rel, attr, pred);
-        Err(Error::Internal("engine has no scatter sum".into()))
-    }
-
-    /// Scatter route for `SUM(value) GROUP BY key`: per-shard keyed
-    /// partials merged per key over canonical fragment order. Returns
-    /// `(key, sum)` ordered by key.
-    fn scatter_group_sum(
-        &self,
-        rel: RelationId,
-        key_attr: AttrId,
-        value_attr: AttrId,
-    ) -> Result<Vec<(i64, f64)>> {
-        let _ = (rel, key_attr, value_attr);
-        Err(Error::Internal("engine has no scatter group-sum".into()))
+        attr: AttrId,
+        agg: &Aggregate,
+        route: Route,
+    ) -> Result<QueryOutput> {
+        let _ = (rel, attr, agg);
+        Err(Error::Internal(format!("engine has no {} offload", route.label())))
     }
 
     /// The virtual clock this engine's work is charged against, for span
@@ -305,23 +270,6 @@ pub trait StorageEngine: Send + Sync {
         report.render(self.name())
     }
 }
-
-/// Blanket helpers available on every engine.
-///
-/// (`sum_column_f64` used to live here; it is now an *overridable* default
-/// method on [`StorageEngine`] so device-backed engines can route analytic
-/// sums to a fresh device replica.)
-pub trait StorageEngineExt: StorageEngine {
-    /// Materialize several rows (the paper's "materialize 150 customers"
-    /// operation). Delegates to the overridable
-    /// [`StorageEngine::materialize_rows`], so engines with a batch fast
-    /// path serve this too.
-    fn materialize(&self, rel: RelationId, rows: &[RowId]) -> Result<Vec<Record>> {
-        self.materialize_rows(rel, rows)
-    }
-}
-
-impl<T: StorageEngine + ?Sized> StorageEngineExt for T {}
 
 #[cfg(test)]
 mod tests {
@@ -431,7 +379,7 @@ mod tests {
         }
         let sum = e.sum_column_f64(rel, 1).unwrap();
         assert_eq!(sum, (0..100).map(|i| i as f64 * 0.5).sum::<f64>());
-        let recs = e.materialize(rel, &[3, 7]).unwrap();
+        let recs = e.materialize_rows(rel, &[3, 7]).unwrap();
         assert_eq!(recs[0][0], Value::Int64(3));
         assert_eq!(recs[1][1], Value::Float64(3.5));
         assert_eq!(e.row_count(rel).unwrap(), 100);

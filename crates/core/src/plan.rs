@@ -31,7 +31,7 @@
 
 use crate::costmodel::CacheSpec;
 use crate::error::{Error, Result};
-use crate::schema::{AttrId, RelationId, RowId};
+use crate::schema::{AttrId, Record, RelationId, RowId};
 use crate::types::{DataType, Value};
 use htapg_taxonomy::{
     Classification, FragmentLinearization, FragmentScheme, LayoutHandling, ProcessorSupport,
@@ -97,6 +97,55 @@ impl Predicate {
             Predicate::Ge(x) => format!(">={x}"),
             Predicate::Lt(x) => format!("<{x}"),
             Predicate::Between(lo, hi) => format!("[{lo},{hi})"),
+        }
+    }
+}
+
+/// An aggregate as the executor runs it: what is reduced over the value
+/// column. Every variant reduces with the same segment-partial tree order
+/// (`htapg_device::kernels::segment_partials`), on every route.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Aggregate {
+    /// `SUM(attr)`.
+    Sum,
+    /// `SUM(attr) WHERE pred(attr)`, fused into one pass.
+    FilterSum(Predicate),
+    /// `SUM(attr) GROUP BY key_attr`, ordered by key.
+    GroupSum { key_attr: AttrId },
+}
+
+impl Aggregate {
+    /// The value predicate, for the filtered sum.
+    pub fn pred(&self) -> Option<Predicate> {
+        match *self {
+            Aggregate::FilterSum(p) => Some(p),
+            _ => None,
+        }
+    }
+}
+
+/// Result of interpreting a plan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum QueryOutput {
+    Sum(f64),
+    Groups(Vec<(i64, f64)>),
+    Records(Vec<Record>),
+    Record(Record),
+    Updated,
+}
+
+impl QueryOutput {
+    pub fn as_sum(&self) -> Option<f64> {
+        match self {
+            QueryOutput::Sum(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    pub fn as_groups(&self) -> Option<&[(i64, f64)]> {
+        match self {
+            QueryOutput::Groups(g) => Some(g),
+            _ => None,
         }
     }
 }
@@ -911,7 +960,7 @@ fn plan_aggregate(
                 return Err(Error::InvalidLayout("predicated group-sum is not supported".into()));
             }
             let key_ev = column(rel, *key_attr)?;
-            if !matches!(key_ev.ty, DataType::Int32 | DataType::Int64 | DataType::Date) {
+            if !key_ev.ty.is_integer() {
                 return Err(Error::NonNumericAggregate { attr: *key_attr, got: key_ev.ty.name() });
             }
             if let Some(sp) = shard(rel, attr)? {

@@ -53,6 +53,12 @@ impl DataType {
     pub const fn is_numeric(self) -> bool {
         !matches!(self, DataType::Bool | DataType::Text(_))
     }
+
+    /// Whether [`Value::as_i64`] can represent every value of this type —
+    /// i.e. whether the type can key a group-sum.
+    pub const fn is_integer(self) -> bool {
+        matches!(self, DataType::Int32 | DataType::Int64 | DataType::Date)
+    }
 }
 
 /// A typed value.

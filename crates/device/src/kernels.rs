@@ -10,6 +10,10 @@
 //! bit-deterministic and independent of the launch geometry — the property
 //! tests rely on this.
 
+use std::collections::BTreeMap;
+
+use htapg_core::plan::{Aggregate, QueryOutput};
+use htapg_core::retry::{with_retry, RetryPolicy};
 use htapg_core::{Error, Result};
 
 use crate::memory::{BufferId, SimDevice};
@@ -34,16 +38,92 @@ pub fn reduce_segments(n: usize) -> usize {
 }
 
 /// Pairwise (tree) summation of a slice — the deterministic order a
-/// shared-memory tree reduction produces.
+/// shared-memory tree reduction produces: the sum of the first `n / 2`
+/// values plus the sum of the rest, recursively. The two- and three-value
+/// leaves are spelled out (same order) to save most of the calls.
 pub fn tree_sum(values: &[f64]) -> f64 {
     match values.len() {
         0 => 0.0,
         1 => values[0],
+        2 => values[0] + values[1],
+        3 => values[0] + (values[1] + values[2]),
         n => {
             let mid = n / 2;
             tree_sum(&values[..mid]) + tree_sum(&values[mid..])
         }
     }
+}
+
+/// No predicate: every value of a segment enters its partial.
+pub const UNFILTERED: Option<fn(f64) -> bool> = None;
+
+/// The segment-partial reduction every sum in the system is built on: cut
+/// `values` into `seg_len`-row segments, keep the values `pred` accepts
+/// (all of them without one), and tree-sum each segment's survivors. A
+/// sum is [`tree_sum`] of these partials; the device kernels, the host
+/// routes and the oracles all call this, so their results agree bit for
+/// bit by construction. Segments without survivors yield `0.0`.
+pub fn segment_partials<F: Fn(f64) -> bool>(
+    values: &[f64],
+    seg_len: usize,
+    pred: Option<F>,
+) -> Vec<f64> {
+    let seg_len = seg_len.max(1);
+    let mut kept = Vec::new();
+    values
+        .chunks(seg_len)
+        .map(|seg| match &pred {
+            None => tree_sum(seg),
+            Some(keep) => {
+                kept.clear();
+                kept.extend(seg.iter().copied().filter(|&v| keep(v)));
+                tree_sum(&kept)
+            }
+        })
+        .collect()
+}
+
+/// The canonical sum of host-resident values: [`reduce_seg_len`]
+/// segments, then a tree sum of their partials — bit-identical to
+/// [`reduce_sum_f64`] over the same values, without a launch.
+pub fn reduce_values_f64(values: &[f64]) -> f64 {
+    tree_sum(&segment_partials(values, reduce_seg_len(values.len()), UNFILTERED))
+}
+
+/// `values` grouped by the key of the same row: groups ordered by key,
+/// values in row order within a group.
+pub fn group_by_key(keys: &[i64], values: &[f64]) -> Vec<(i64, Vec<f64>)> {
+    let mut groups: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
+    for (&k, &v) in keys.iter().zip(values) {
+        groups.entry(k).or_default().push(v);
+    }
+    groups.into_iter().collect()
+}
+
+/// Keyed segment partials: each `seg_len`-row segment groups its values by
+/// key in row order and tree-sums each group; inner vectors are sorted by
+/// key.
+pub fn keyed_segment_partials(
+    keys: &[i64],
+    values: &[f64],
+    seg_len: usize,
+) -> Vec<Vec<(i64, f64)>> {
+    let seg_len = seg_len.max(1);
+    keys.chunks(seg_len)
+        .zip(values.chunks(seg_len))
+        .map(|(k, v)| group_by_key(k, v).into_iter().map(|(k, vs)| (k, tree_sum(&vs))).collect())
+        .collect()
+}
+
+/// Merge keyed segment partials given in global segment order: each key's
+/// sum is the tree sum of its partials in that order. Returns `(key, sum)`
+/// ordered by key.
+pub fn merge_keyed_partials(segments: &[Vec<(i64, f64)>]) -> Vec<(i64, f64)> {
+    let mut acc: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
+    for &(key, partial) in segments.iter().flatten() {
+        acc.entry(key).or_default().push(partial);
+    }
+    acc.into_iter().map(|(key, ps)| (key, tree_sum(&ps))).collect()
 }
 
 fn as_f64s(bytes: &[u8]) -> Result<Vec<f64>> {
@@ -70,12 +150,7 @@ pub fn reduce_sum_f64(device: &SimDevice, buf: BufferId) -> Result<f64> {
     }
     // Pass 1: REDUCE_GRID blocks × REDUCE_BLOCK threads; each block reduces
     // a contiguous segment into one partial.
-    let segments = REDUCE_GRID as usize;
-    let seg_len = n.div_ceil(segments);
-    let mut partials = Vec::with_capacity(segments);
-    for seg in values.chunks(seg_len.max(1)) {
-        partials.push(tree_sum(seg));
-    }
+    let partials = segment_partials(&values, reduce_seg_len(n), UNFILTERED);
     ex.charge_launch(
         LaunchConfig::new(REDUCE_GRID, REDUCE_BLOCK),
         KernelCost { work_items: n as u64, cycles_per_item: 4.0, bytes: (n * 8) as u64 },
@@ -95,42 +170,21 @@ pub fn reduce_sum_f64(device: &SimDevice, buf: BufferId) -> Result<f64> {
 
 /// Pass-1 partials for segments `[seg_lo, seg_hi)` of the canonical
 /// segmentation of a `total_rows` column, read from the (possibly still
-/// filling) buffer `buf` and charged as one launch on `stream`.
+/// filling) buffer `buf` and charged as one launch on `stream`. With a
+/// `pred`, each partial sums only the values satisfying it — selection and
+/// aggregation fused in a single launch.
 ///
 /// Because segment boundaries depend only on `total_rows`, a pipeline that
 /// covers `[0, reduce_segments(n))` in any chunking produces exactly the
 /// partials of [`reduce_sum_f64`]'s first pass — the bit-identity the
 /// property tests assert.
-pub fn reduce_partials_f64(
+pub fn reduce_partials_f64<F: Fn(f64) -> bool>(
     stream: &mut SimStream<'_>,
     buf: BufferId,
     total_rows: usize,
     seg_lo: usize,
     seg_hi: usize,
-) -> Result<Vec<f64>> {
-    segment_partials(stream, buf, total_rows, seg_lo, seg_hi, None)
-}
-
-/// Fused pass-1 partials: per segment, the tree sum of only the values
-/// satisfying `pred` — selection and aggregation in a single launch.
-pub fn filter_partials_f64(
-    stream: &mut SimStream<'_>,
-    buf: BufferId,
-    total_rows: usize,
-    seg_lo: usize,
-    seg_hi: usize,
-    pred: &dyn Fn(f64) -> bool,
-) -> Result<Vec<f64>> {
-    segment_partials(stream, buf, total_rows, seg_lo, seg_hi, Some(pred))
-}
-
-fn segment_partials(
-    stream: &mut SimStream<'_>,
-    buf: BufferId,
-    total_rows: usize,
-    seg_lo: usize,
-    seg_hi: usize,
-    pred: Option<&dyn Fn(f64) -> bool>,
+    pred: Option<F>,
 ) -> Result<Vec<f64>> {
     let device = stream.device();
     let seg_len = reduce_seg_len(total_rows);
@@ -139,25 +193,14 @@ fn segment_partials(
     if seg_hi <= seg_lo {
         return Ok(Vec::new());
     }
-    let partials = device.with_buffer(buf, |bytes| {
+    let values = device.with_buffer(buf, |bytes| {
         if lo_row > hi_row || hi_row * 8 > bytes.len() {
             return Err(Error::Internal("segment range beyond device buffer".into()));
         }
-        let mut out = Vec::with_capacity(seg_hi - seg_lo);
-        let mut seg = Vec::with_capacity(seg_len);
-        for row_lo in (lo_row..hi_row).step_by(seg_len) {
-            let row_hi = (row_lo + seg_len).min(hi_row);
-            seg.clear();
-            for c in bytes[row_lo * 8..row_hi * 8].chunks_exact(8) {
-                let v = f64::from_le_bytes(c.try_into().unwrap());
-                if pred.is_none_or(|p| p(v)) {
-                    seg.push(v);
-                }
-            }
-            out.push(tree_sum(&seg));
-        }
-        Ok(out)
+        as_f64s(&bytes[lo_row * 8..hi_row * 8])
     })??;
+    // `lo_row` starts a canonical segment, so these are its partials.
+    let partials = segment_partials(&values, seg_len, pred.as_ref());
     let rows = (hi_row - lo_row) as u64;
     stream.charge_launch(
         LaunchConfig::new((seg_hi - seg_lo).max(1) as u32, REDUCE_BLOCK),
@@ -197,7 +240,7 @@ pub fn filter_sum_f64(
 ) -> Result<f64> {
     let n = device.buffer_len(buf)? / 8;
     let mut stream = SimStream::new(device);
-    let partials = filter_partials_f64(&mut stream, buf, n, 0, reduce_segments(n), &pred)?;
+    let partials = reduce_partials_f64(&mut stream, buf, n, 0, reduce_segments(n), Some(pred))?;
     let total = reduce_final_f64(&mut stream, &partials)?;
     // Single-stream use: the whole span is serial wall time.
     device.ledger().advance_wall(stream.cursor_ns());
@@ -207,35 +250,17 @@ pub fn filter_sum_f64(
 /// Per-fragment pass-1 partials for a shard's device-resident slice: the
 /// buffer holds the shard's fragments back to back (`frag_rows` rows each,
 /// the last possibly short), and each fragment reduces to one tree-ordered
-/// partial. One launch over the whole slice. A gather that concatenates
-/// these per-fragment partials in *global* fragment order and tree-reduces
-/// them is bit-identical for every node count and placement — the
-/// scatter-gather analogue of [`reduce_partials_f64`]'s segment property.
-pub fn reduce_fragment_partials_f64(
+/// partial — of only its values satisfying `pred`, when given (one extra
+/// cycle per item, like a fused [`reduce_partials_f64`]). One launch over
+/// the whole slice. A gather that concatenates these per-fragment partials
+/// in *global* fragment order and tree-reduces them is bit-identical for
+/// every node count and placement — the scatter-gather analogue of
+/// [`reduce_partials_f64`]'s segment property.
+pub fn fragment_partials_f64<F: Fn(f64) -> bool>(
     device: &SimDevice,
     buf: BufferId,
     frag_rows: usize,
-) -> Result<Vec<f64>> {
-    fragment_partials(device, buf, frag_rows, None)
-}
-
-/// Fused per-fragment filter+sum partials: each fragment's partial is the
-/// tree sum of only its qualifying values (one extra cycle per item, like
-/// [`filter_partials_f64`]).
-pub fn filter_fragment_partials_f64(
-    device: &SimDevice,
-    buf: BufferId,
-    frag_rows: usize,
-    pred: &dyn Fn(f64) -> bool,
-) -> Result<Vec<f64>> {
-    fragment_partials(device, buf, frag_rows, Some(pred))
-}
-
-fn fragment_partials(
-    device: &SimDevice,
-    buf: BufferId,
-    frag_rows: usize,
-    pred: Option<&dyn Fn(f64) -> bool>,
+    pred: Option<F>,
 ) -> Result<Vec<f64>> {
     if frag_rows == 0 {
         return Err(Error::Internal("fragment size must be positive".into()));
@@ -243,17 +268,7 @@ fn fragment_partials(
     let ex = Executor::new(device);
     let values = device.with_buffer(buf, as_f64s)??;
     let n = values.len();
-    let mut out = Vec::with_capacity(n.div_ceil(frag_rows));
-    let mut seg = Vec::with_capacity(frag_rows);
-    for frag in values.chunks(frag_rows) {
-        seg.clear();
-        for &v in frag {
-            if pred.is_none_or(|p| p(v)) {
-                seg.push(v);
-            }
-        }
-        out.push(tree_sum(&seg));
-    }
+    let out = segment_partials(&values, frag_rows, pred.as_ref());
     ex.charge_launch(
         LaunchConfig::new(REDUCE_GRID.min(out.len().max(1) as u32), REDUCE_BLOCK),
         KernelCost {
@@ -290,99 +305,14 @@ pub fn keyed_fragment_partials_f64(
             keys.len()
         )));
     }
-    let mut out = Vec::with_capacity(n.div_ceil(frag_rows));
-    for (fi, frag) in values.chunks(frag_rows).enumerate() {
-        // Row order within the fragment, as a shared-memory grouping pass
-        // would see it.
-        let mut groups: std::collections::BTreeMap<i64, Vec<f64>> =
-            std::collections::BTreeMap::new();
-        for (i, &v) in frag.iter().enumerate() {
-            groups.entry(keys[fi * frag_rows + i]).or_default().push(v);
-        }
-        out.push(groups.into_iter().map(|(k, vs)| (k, tree_sum(&vs))).collect());
-    }
+    // Row order within the fragment, as a shared-memory grouping pass
+    // would see it.
+    let out = keyed_segment_partials(keys, &values, frag_rows);
     ex.charge_launch(
         LaunchConfig::new(REDUCE_GRID.min(out.len().max(1) as u32), REDUCE_BLOCK),
         KernelCost { work_items: n.max(1) as u64, cycles_per_item: 8.0, bytes: (n * 16) as u64 },
     )?;
     Ok(out)
-}
-
-/// Sum a packed little-endian `i64` column on the device (same geometry).
-pub fn reduce_sum_i64(device: &SimDevice, buf: BufferId) -> Result<i64> {
-    let ex = Executor::new(device);
-    let sum = device.with_buffer(buf, |bytes| {
-        if bytes.len() % 8 != 0 {
-            return Err(Error::Internal("buffer is not a packed i64 column".into()));
-        }
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-            .fold(0i64, i64::wrapping_add))
-    })??;
-    let n = device.buffer_len(buf)? / 8;
-    ex.charge_launch(
-        LaunchConfig::new(REDUCE_GRID, REDUCE_BLOCK),
-        KernelCost { work_items: n as u64, cycles_per_item: 4.0, bytes: (n * 8) as u64 },
-    )?;
-    ex.charge_launch(
-        LaunchConfig::new(1, FINAL_BLOCK),
-        KernelCost {
-            work_items: REDUCE_GRID as u64,
-            cycles_per_item: 4.0,
-            bytes: REDUCE_GRID as u64 * 8,
-        },
-    )?;
-    Ok(sum)
-}
-
-/// Min and max of a device-resident packed `f64` column (same reduction
-/// geometry as the sum).
-pub fn reduce_min_max_f64(device: &SimDevice, buf: BufferId) -> Result<(f64, f64)> {
-    let ex = Executor::new(device);
-    let (min, max, n) = device.with_buffer(buf, |bytes| {
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut n = 0u64;
-        for c in bytes.chunks_exact(8) {
-            let v = f64::from_le_bytes(c.try_into().unwrap());
-            min = min.min(v);
-            max = max.max(v);
-            n += 1;
-        }
-        (min, max, n)
-    })?;
-    ex.charge_launch(
-        LaunchConfig::new(REDUCE_GRID, REDUCE_BLOCK),
-        KernelCost { work_items: n.max(1), cycles_per_item: 4.0, bytes: n * 8 },
-    )?;
-    ex.charge_launch(
-        LaunchConfig::new(1, FINAL_BLOCK),
-        KernelCost {
-            work_items: REDUCE_GRID as u64,
-            cycles_per_item: 4.0,
-            bytes: REDUCE_GRID as u64 * 8,
-        },
-    )?;
-    Ok((min, max))
-}
-
-/// Elementwise map over a packed `f64` column, in place (e.g. price scaling
-/// in bulk transactions).
-pub fn map_f64(device: &SimDevice, buf: BufferId, f: impl Fn(f64) -> f64) -> Result<()> {
-    let ex = Executor::new(device);
-    let n = device.buffer_len(buf)? / 8;
-    device.with_buffer_mut(buf, |bytes| {
-        for chunk in bytes.chunks_exact_mut(8) {
-            let v = f64::from_le_bytes(chunk.try_into().unwrap());
-            chunk.copy_from_slice(&f(v).to_le_bytes());
-        }
-    })?;
-    ex.charge_launch(
-        LaunchConfig::new(REDUCE_GRID, REDUCE_BLOCK),
-        KernelCost { work_items: n as u64, cycles_per_item: 6.0, bytes: (n * 16) as u64 },
-    )?;
-    Ok(())
 }
 
 /// Gather fixed-width elements at `positions` from a device column into a
@@ -418,6 +348,44 @@ pub fn gather(
     // Device-to-device copy: charged as kernel memory traffic, not PCIe.
     device.with_buffer_mut(result, |b| b.copy_from_slice(&out))?;
     Ok(result)
+}
+
+/// Run `agg` over a device-resident packed `f64` column — the device side
+/// of every offloaded aggregate: [`reduce_sum_f64`] for a sum,
+/// [`filter_sum_f64`] for a filtered sum, and for a group-sum, per key of
+/// `groups` (the row positions of each key, from the host), a [`gather`]
+/// of the group's values into a scratch buffer reduced with
+/// [`reduce_sum_f64`] and freed — so every group's sum is the canonical
+/// reduction of its values in row order. `retry`, when given, retries each
+/// reduction's transient launch faults with backoff charged to the device
+/// ledger.
+pub fn aggregate_f64(
+    device: &SimDevice,
+    buf: BufferId,
+    agg: &Aggregate,
+    groups: &BTreeMap<i64, Vec<u64>>,
+    retry: Option<&RetryPolicy>,
+) -> Result<QueryOutput> {
+    let reduce = |f: &dyn Fn() -> Result<f64>| match retry {
+        Some(policy) => with_retry(policy, device.ledger(), f),
+        None => f(),
+    };
+    Ok(match *agg {
+        Aggregate::Sum => QueryOutput::Sum(reduce(&|| reduce_sum_f64(device, buf))?),
+        Aggregate::FilterSum(p) => {
+            QueryOutput::Sum(reduce(&|| filter_sum_f64(device, buf, |v| p.matches(v)))?)
+        }
+        Aggregate::GroupSum { .. } => {
+            let mut out = Vec::with_capacity(groups.len());
+            for (&key, positions) in groups {
+                let gathered = gather(device, buf, 8, positions)?;
+                let sum = reduce(&|| reduce_sum_f64(device, gathered));
+                device.free(gathered)?;
+                out.push((key, sum?));
+            }
+            QueryOutput::Groups(out)
+        }
+    })
 }
 
 /// Byte width of one shipped delta pair: `(u64 row, f64 value)`.
@@ -532,6 +500,21 @@ mod tests {
     }
 
     #[test]
+    fn tree_sum_leaves_keep_the_pairwise_order() {
+        fn pairwise(v: &[f64]) -> f64 {
+            match v.len() {
+                0 => 0.0,
+                1 => v[0],
+                n => pairwise(&v[..n / 2]) + pairwise(&v[n / 2..]),
+            }
+        }
+        let values: Vec<f64> = (0..5_000).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+        for n in (0..300).chain([4_999, 5_000]) {
+            assert_eq!(tree_sum(&values[..n]).to_bits(), pairwise(&values[..n]).to_bits(), "n={n}");
+        }
+    }
+
+    #[test]
     fn tree_sum_is_deterministic() {
         let values: Vec<f64> = (0..997).map(|i| (i as f64).sin()).collect();
         assert_eq!(tree_sum(&values).to_bits(), tree_sum(&values).to_bits());
@@ -568,33 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_i64() {
-        let d = SimDevice::with_defaults();
-        let values: Vec<i64> = (0..1000).map(|i| i * 3 - 500).collect();
-        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let buf = d.upload(&bytes).unwrap();
-        assert_eq!(reduce_sum_i64(&d, buf).unwrap(), values.iter().sum::<i64>());
-    }
-
-    #[test]
-    fn min_max_reduction() {
-        let d = SimDevice::with_defaults();
-        let buf = upload_f64(&d, &[3.0, -7.5, 10.0, 0.0]);
-        let before = d.ledger().snapshot();
-        let (min, max) = reduce_min_max_f64(&d, buf).unwrap();
-        assert_eq!((min, max), (-7.5, 10.0));
-        assert_eq!(d.ledger().snapshot().since(&before).kernel_launches, 2);
-    }
-
-    #[test]
-    fn map_scales_in_place() {
-        let d = SimDevice::with_defaults();
-        let buf = upload_f64(&d, &[1.0, 2.0, 4.0]);
-        map_f64(&d, buf, |v| v * 2.0).unwrap();
-        assert_eq!(reduce_sum_f64(&d, buf).unwrap(), 14.0);
-    }
-
-    #[test]
     fn gather_collects_positions() {
         let d = SimDevice::with_defaults();
         let buf = upload_f64(&d, &[10.0, 20.0, 30.0, 40.0]);
@@ -622,13 +578,13 @@ mod tests {
         let n = values.len();
         let segs = reduce_segments(n);
         let mut one = SimStream::new(&d);
-        let whole = reduce_partials_f64(&mut one, buf, n, 0, segs).unwrap();
+        let whole = reduce_partials_f64(&mut one, buf, n, 0, segs, UNFILTERED).unwrap();
         let single_shot = reduce_final_f64(&mut one, &whole).unwrap();
         // Same segments computed across three arbitrary splits.
         let mut many = SimStream::new(&d);
         let mut pieced = Vec::new();
         for (lo, hi) in [(0, 7), (7, 700), (700, segs)] {
-            pieced.extend(reduce_partials_f64(&mut many, buf, n, lo, hi).unwrap());
+            pieced.extend(reduce_partials_f64(&mut many, buf, n, lo, hi, UNFILTERED).unwrap());
         }
         assert_eq!(
             whole.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -698,7 +654,7 @@ mod tests {
         let frag_rows = 1024;
         // Single "node" holding every fragment.
         let whole = upload_f64(&d, &values);
-        let single = reduce_fragment_partials_f64(&d, whole, frag_rows).unwrap();
+        let single = fragment_partials_f64(&d, whole, frag_rows, UNFILTERED).unwrap();
         // Two nodes, fragments dealt round-robin; merging the per-node
         // partials back into global fragment order must reproduce the
         // single-node partials exactly.
@@ -712,7 +668,7 @@ mod tests {
                 .flat_map(|(_, f)| f.iter().copied())
                 .collect();
             let buf = upload_f64(&d, &slice);
-            let partials = reduce_fragment_partials_f64(&d, buf, frag_rows).unwrap();
+            let partials = fragment_partials_f64(&d, buf, frag_rows, UNFILTERED).unwrap();
             for (local, p) in partials.into_iter().enumerate() {
                 merged[local * 2 + node] = p;
             }
@@ -726,7 +682,7 @@ mod tests {
         // two-pass reduction bit-for-bit.
         let n = values.len();
         let seg = reduce_seg_len(n);
-        let canon = reduce_fragment_partials_f64(&d, whole, seg).unwrap();
+        let canon = fragment_partials_f64(&d, whole, seg, UNFILTERED).unwrap();
         assert_eq!(tree_sum(&canon).to_bits(), reduce_sum_f64(&d, whole).unwrap().to_bits());
     }
 

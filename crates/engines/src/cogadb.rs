@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use htapg_core::adapt::AccessStats;
 use htapg_core::engine::{MaintenanceReport, StorageEngine};
-use htapg_core::plan::{ColumnEvidence, DeviceCostProfile, Predicate};
+use htapg_core::plan::{Aggregate, ColumnEvidence, DeviceCostProfile, QueryOutput, Route};
 use htapg_core::{
     AccessHint, AttrId, DataType, Error, LayoutTemplate, Record, Relation, RelationId, Result,
     RowId, Schema, Value,
@@ -36,7 +36,7 @@ use htapg_device::kernels;
 use htapg_device::{CachedColumn, DeltaTransport, DeviceColumnCache, SimDevice, StaleInfo};
 use htapg_taxonomy::{survey, Classification};
 
-use crate::common::Registry;
+use crate::common::{group_positions, Registry};
 
 /// Which processor executed (or would execute) an operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -400,50 +400,25 @@ impl StorageEngine for CogadbEngine {
         })
     }
 
-    fn device_sum_column(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(attr);
-            let version = r.versions.get(attr as usize).copied().unwrap_or(0);
-            let col = self.fresh_or_merged(rel, attr, version)?;
-            kernels::reduce_sum_f64(&self.device, col.buf)
-        })
-    }
-
-    fn device_filter_sum(&self, rel: RelationId, attr: AttrId, pred: &Predicate) -> Result<f64> {
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(attr);
-            let version = r.versions.get(attr as usize).copied().unwrap_or(0);
-            let col = self.fresh_or_merged(rel, attr, version)?;
-            kernels::filter_sum_f64(&self.device, col.buf, |v| pred.matches(v))
-        })
-    }
-
-    /// Device group-sum over a fresh value replica: keys scanned on the
-    /// host, per-group runs gathered and canonically reduced on the device.
-    fn device_group_sum(
+    /// Device route over a fresh (or cheaply delta-merged) replica. A
+    /// group-sum scans its keys on the host and gathers each group's value
+    /// run on the device.
+    fn offload_aggregate(
         &self,
         rel: RelationId,
-        key_attr: AttrId,
-        value_attr: AttrId,
-    ) -> Result<Vec<(i64, f64)>> {
-        let mut positions: std::collections::BTreeMap<i64, Vec<u64>> = Default::default();
-        self.scan_column(rel, key_attr, &mut |row, v| {
-            if let Ok(k) = v.as_i64() {
-                positions.entry(k).or_default().push(row);
-            }
-        })?;
+        attr: AttrId,
+        agg: &Aggregate,
+        route: Route,
+    ) -> Result<QueryOutput> {
+        if route != Route::DevicePipelined {
+            return Err(Error::Internal(format!("no {} offload", route.label())));
+        }
+        let groups = group_positions(self, rel, agg)?;
         self.rels.read(rel, |r| {
-            r.stats.record_scan(value_attr);
-            let version = r.versions.get(value_attr as usize).copied().unwrap_or(0);
-            let col = self.fresh_or_merged(rel, value_attr, version)?;
-            let mut out = Vec::with_capacity(positions.len());
-            for (key, pos) in &positions {
-                let gathered = kernels::gather(&self.device, col.buf, 8, pos)?;
-                let sum = kernels::reduce_sum_f64(&self.device, gathered);
-                self.device.free(gathered)?;
-                out.push((*key, sum?));
-            }
-            Ok(out)
+            r.stats.record_scan(attr);
+            let version = r.versions.get(attr as usize).copied().unwrap_or(0);
+            let col = self.fresh_or_merged(rel, attr, version)?;
+            kernels::aggregate_f64(&self.device, col.buf, agg, &groups, None)
         })
     }
 

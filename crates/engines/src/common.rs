@@ -1,9 +1,35 @@
 //! Shared plumbing for engine implementations.
 
 use htapg_core::sync::RwLock;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use htapg_core::engine::StorageEngine;
+use htapg_core::plan::Aggregate;
 use htapg_core::{Error, RelationId, Result};
+
+/// For a group-sum, the row positions of every key of its integer key
+/// column, keys ascending and rows in row order: the host-side grouping a
+/// device group-sum gathers its per-group value runs by. Empty for the
+/// other aggregates. A non-integer key column is a typed error, as on the
+/// host route.
+pub fn group_positions(
+    engine: &dyn StorageEngine,
+    rel: RelationId,
+    agg: &Aggregate,
+) -> Result<BTreeMap<i64, Vec<u64>>> {
+    let mut positions: BTreeMap<i64, Vec<u64>> = BTreeMap::new();
+    let Aggregate::GroupSum { key_attr } = *agg else { return Ok(positions) };
+    let ty = engine.schema(rel)?.ty(key_attr)?;
+    if !ty.is_integer() {
+        return Err(Error::NonNumericAggregate { attr: key_attr, got: ty.name() });
+    }
+    engine.scan_column(rel, key_attr, &mut |row, v| {
+        let key = v.as_i64().expect("key type checked integer above");
+        positions.entry(key).or_default().push(row);
+    })?;
+    Ok(positions)
+}
 
 /// A concurrent registry of per-relation states.
 ///

@@ -11,17 +11,16 @@
 //! the single-op `StorageEngine` methods run a degenerate batch of one,
 //! paying the launch overhead and under-filled lanes the paper warns about.
 //!
-//! Analytic sums go through [`GputxEngine::sum_column_cached`]: a packed
-//! f64 replica of the typed column is materialized *device-side* (a
-//! widening map kernel — both ends live in device memory, so no PCIe) into
-//! the shared [`DeviceColumnCache`], stamped with a per-attr version bumped
-//! by every write wave. Repeat queries hit the cache and skip even the
-//! widening pass.
+//! Offloaded aggregates (`offload_aggregate`) reduce a packed f64 replica
+//! of the typed column, materialized *device-side* (a widening map kernel —
+//! both ends live in device memory, so no PCIe) into the shared
+//! [`DeviceColumnCache`], stamped with a per-attr version bumped by every
+//! write wave. Repeat queries hit the cache and skip even the widening pass.
 
 use std::sync::Arc;
 
 use htapg_core::engine::{MaintenanceReport, StorageEngine};
-use htapg_core::plan::{ColumnEvidence, DeviceCostProfile, Predicate};
+use htapg_core::plan::{Aggregate, ColumnEvidence, DeviceCostProfile, QueryOutput, Route};
 use htapg_core::{AttrId, DataType, Error, Record, RelationId, Result, RowId, Schema, Value};
 use htapg_device::cache::CachedColumn;
 use htapg_device::kernels;
@@ -29,7 +28,7 @@ use htapg_device::simt::{Executor, KernelCost, LaunchConfig};
 use htapg_device::{BufferId, DeltaTransport, DeviceColumnCache, DeviceSpec, SimDevice};
 use htapg_taxonomy::{survey, Classification};
 
-use crate::common::Registry;
+use crate::common::{group_positions, Registry};
 
 /// One transaction operation for bulk execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,23 +137,6 @@ impl GputxEngine {
             }
             Ok(first)
         })
-    }
-
-    /// Analytic column sum through the device-resident cache: a packed f64
-    /// replica of the typed column is built by a device-side widening
-    /// kernel (no PCIe — source and destination both live in device
-    /// memory) and reduced; a repeat query at the same version hits the
-    /// cache and runs only the reduction.
-    pub fn sum_column_cached(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        let ty = self.rels.read(rel, |r| r.schema.ty(attr))?;
-        if matches!(ty, DataType::Text(_) | DataType::Bool) {
-            return Err(Error::TypeMismatch { expected: "numeric", got: ty.name() });
-        }
-        if self.rels.read(rel, |r| Ok(r.rows))? == 0 {
-            return Ok(0.0);
-        }
-        let packed = self.packed_replica(rel, attr)?;
-        kernels::reduce_sum_f64(&self.device, packed.buf)
     }
 
     /// A fresh packed-f64 replica of `attr` in the shared cache, built by
@@ -489,45 +471,29 @@ impl StorageEngine for GputxEngine {
         })
     }
 
-    fn device_sum_column(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        self.sum_column_cached(rel, attr)
-    }
-
-    fn device_filter_sum(&self, rel: RelationId, attr: AttrId, pred: &Predicate) -> Result<f64> {
-        if self.rels.read(rel, |r| Ok(r.rows))? == 0 {
-            return Ok(0.0);
-        }
-        let packed = self.packed_replica(rel, attr)?;
-        kernels::filter_sum_f64(&self.device, packed.buf, |v| pred.matches(v))
-    }
-
-    /// Device group-sum: keys scanned from the device-resident key column,
-    /// per-group value runs gathered from the packed replica and reduced
-    /// with the canonical kernel (bit-identical to the host route).
-    fn device_group_sum(
+    /// Device route over the packed replica, built device-side on a miss.
+    /// A group-sum scans its keys from the device-resident key column and
+    /// gathers each group's value run from the replica.
+    fn offload_aggregate(
         &self,
         rel: RelationId,
-        key_attr: AttrId,
-        value_attr: AttrId,
-    ) -> Result<Vec<(i64, f64)>> {
-        let mut positions: std::collections::BTreeMap<i64, Vec<u64>> = Default::default();
-        self.scan_column(rel, key_attr, &mut |row, v| {
-            if let Ok(k) = v.as_i64() {
-                positions.entry(k).or_default().push(row);
-            }
-        })?;
-        if positions.is_empty() {
-            return Ok(Vec::new());
+        attr: AttrId,
+        agg: &Aggregate,
+        route: Route,
+    ) -> Result<QueryOutput> {
+        if route != Route::DevicePipelined {
+            return Err(Error::Internal(format!("no {} offload", route.label())));
         }
-        let packed = self.packed_replica(rel, value_attr)?;
-        let mut out = Vec::with_capacity(positions.len());
-        for (key, pos) in &positions {
-            let gathered = kernels::gather(&self.device, packed.buf, 8, pos)?;
-            let sum = kernels::reduce_sum_f64(&self.device, gathered);
-            self.device.free(gathered)?;
-            out.push((*key, sum?));
+        let groups = group_positions(self, rel, agg)?;
+        if self.rels.read(rel, |r| Ok(r.rows))? == 0 {
+            // An empty relation has no packed replica, and nothing to reduce.
+            return Ok(match agg {
+                Aggregate::GroupSum { .. } => QueryOutput::Groups(Vec::new()),
+                _ => QueryOutput::Sum(0.0),
+            });
         }
-        Ok(out)
+        let packed = self.packed_replica(rel, attr)?;
+        kernels::aggregate_f64(&self.device, packed.buf, agg, &groups, None)
     }
 }
 
@@ -627,15 +593,18 @@ mod tests {
         let rel = e.create_relation(schema()).unwrap();
         e.bulk_insert(rel, &(0..1000).map(rec).collect::<Vec<_>>()).unwrap();
         let host = e.sum_column_f64(rel, 1).unwrap();
+        let cached = |e: &GputxEngine| {
+            e.offload_aggregate(rel, 1, &Aggregate::Sum, Route::DevicePipelined).unwrap().as_sum()
+        };
         let before = e.device().ledger().snapshot();
-        let s1 = e.sum_column_cached(rel, 1).unwrap();
+        let s1 = cached(&e).unwrap();
         assert_eq!(s1, host);
         let cold = e.device().ledger().snapshot().since(&before);
         assert_eq!(cold.cache_misses, 1);
         assert_eq!(cold.bytes_to_device, 0, "widening is device-side, never PCIe");
         // The repeat query hits the cache and skips the widening kernel.
         let before = e.device().ledger().snapshot();
-        let s2 = e.sum_column_cached(rel, 1).unwrap();
+        let s2 = cached(&e).unwrap();
         assert_eq!(s2.to_bits(), s1.to_bits());
         let warm = e.device().ledger().snapshot().since(&before);
         assert_eq!(warm.cache_hits, 1);
@@ -644,12 +613,12 @@ mod tests {
         // A write wave through the engine bumps the version: the replica is
         // rebuilt and the new value is visible.
         e.update_field(rel, 0, 1, &Value::Float64(500.0)).unwrap();
-        let s3 = e.sum_column_cached(rel, 1).unwrap();
+        let s3 = cached(&e).unwrap();
         assert_eq!(s3, host + 500.0); // row 0 held 0.0
                                       // Writes to *other* attrs leave this replica fresh.
         e.update_field(rel, 0, 0, &Value::Int64(-7)).unwrap();
         let before = e.device().ledger().snapshot();
-        assert_eq!(e.sum_column_cached(rel, 1).unwrap(), s3);
+        assert_eq!(cached(&e).unwrap(), s3);
         assert_eq!(e.device().ledger().snapshot().since(&before).cache_hits, 1);
     }
 

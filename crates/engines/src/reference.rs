@@ -27,7 +27,7 @@ use std::sync::Arc;
 use htapg_core::adapt::{AccessStats, Advisor, AdvisorConfig};
 use htapg_core::calibrate::CalibrationProfiles;
 use htapg_core::engine::{MaintenanceReport, StorageEngine};
-use htapg_core::plan::{ColumnEvidence, DeviceCostProfile, Predicate};
+use htapg_core::plan::{Aggregate, ColumnEvidence, DeviceCostProfile, QueryOutput, Route};
 use htapg_core::retry::{with_retry, RetryPolicy};
 use htapg_core::txn::{MvStore, Timestamp, Txn, TxnManager};
 use htapg_core::wal::{LogRecord, LogStorage, ReplayReport, Wal, WalSink};
@@ -42,7 +42,7 @@ use htapg_taxonomy::{
     LayoutAdaptability, LayoutFlexibility, LayoutHandling, ProcessorSupport, WorkloadSupport,
 };
 
-use crate::common::Registry;
+use crate::common::{group_positions, Registry};
 
 /// Index of the transactional (primary) layout.
 const PRIMARY: usize = 0;
@@ -313,15 +313,19 @@ impl ReferenceEngine {
         })
     }
 
-    /// Snapshot sum (convenience for the HTAP driver and tests).
+    /// Snapshot sum (the host side of [`Self::sum_column_auto`], and a
+    /// convenience for the HTAP driver and tests), reduced in the device's
+    /// canonical order so its bits do not depend on replica warmth.
     pub fn sum_column_as_of(&self, rel: RelationId, attr: AttrId, ts: Timestamp) -> Result<f64> {
-        let mut sum = 0.0;
+        let ty = self.schema(rel)?.ty(attr)?;
+        if !ty.is_numeric() {
+            return Err(Error::NonNumericAggregate { attr, got: ty.name() });
+        }
+        let mut values = Vec::with_capacity(self.row_count(rel)? as usize);
         self.scan_column_as_of(rel, attr, ts, &mut |_, v| {
-            if let Ok(x) = v.as_f64() {
-                sum += x;
-            }
+            values.push(v.as_f64().expect("column type checked numeric above"));
         })?;
-        Ok(sum)
+        Ok(kernels::reduce_values_f64(&values))
     }
 
     // ------------------------------------------------------------------
@@ -354,6 +358,20 @@ impl ReferenceEngine {
     /// call [`StorageEngine::maintain`] first). Transient launch faults are
     /// retried with virtual backoff charged to the device ledger.
     pub fn sum_column_device(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
+        let out = self.aggregate_on_device(rel, attr, &Aggregate::Sum)?;
+        out.as_sum().ok_or_else(|| Error::Internal(format!("device sum returned {out:?}")))
+    }
+
+    /// Run `agg` over the fresh device replica of `attr` (errors if there
+    /// is none). A group-sum scans its keys on the host (grouping is
+    /// control-heavy) and gathers each group's value run from the replica.
+    fn aggregate_on_device(
+        &self,
+        rel: RelationId,
+        attr: AttrId,
+        agg: &Aggregate,
+    ) -> Result<QueryOutput> {
+        let groups = group_positions(self, rel, agg)?;
         let device = self.device.clone();
         self.rels.read(rel, |r| {
             // Device answers are still scans as far as the advisor is
@@ -362,9 +380,7 @@ impl ReferenceEngine {
             let col = self.cache.lookup(rel, attr, r.version)?.ok_or_else(|| {
                 Error::Internal(format!("no fresh device replica of attr {attr}"))
             })?;
-            with_retry(&RetryPolicy::default(), device.ledger(), || {
-                kernels::reduce_sum_f64(&device, col.buf)
-            })
+            kernels::aggregate_f64(&device, col.buf, agg, &groups, Some(&RetryPolicy::default()))
         })
     }
 
@@ -394,7 +410,15 @@ impl ReferenceEngine {
             match self.sum_column_device(rel, attr) {
                 Ok(sum) => return Ok(sum),
                 Err(e) if e.is_transient() => {} // fall through to the host
-                Err(e) => return Err(e),
+                Err(e) => {
+                    // Unless a concurrent writer invalidated the replica
+                    // after the check above (then the host answers from
+                    // the newer snapshot), the error stands.
+                    let version = self.rels.read(rel, |r| Ok(r.version))?;
+                    if self.cache.contains(rel, attr, version) {
+                        return Err(e);
+                    }
+                }
             }
         }
         self.sum_column_as_of(rel, attr, self.mgr.now())
@@ -725,59 +749,20 @@ impl StorageEngine for ReferenceEngine {
         })
     }
 
-    fn device_sum_column(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        self.ensure_device_replica(rel, attr)?;
-        self.sum_column_device(rel, attr)
-    }
-
-    fn device_filter_sum(&self, rel: RelationId, attr: AttrId, pred: &Predicate) -> Result<f64> {
-        self.ensure_device_replica(rel, attr)?;
-        let device = self.device.clone();
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(attr);
-            let col = self.cache.lookup(rel, attr, r.version)?.ok_or_else(|| {
-                Error::Internal(format!("no fresh device replica of attr {attr}"))
-            })?;
-            with_retry(&RetryPolicy::default(), device.ledger(), || {
-                kernels::filter_sum_f64(&device, col.buf, |v| pred.matches(v))
-            })
-        })
-    }
-
-    /// Device group-sum: keys are scanned on the host (grouping is
-    /// control-heavy), the per-group value runs are gathered from the
-    /// fresh value replica and reduced with the canonical kernel — so
-    /// every group's sum is bit-identical to the host route.
-    fn device_group_sum(
+    /// Device route: build (or delta-merge) a replica of the value column
+    /// when none is fresh, then aggregate it on the device.
+    fn offload_aggregate(
         &self,
         rel: RelationId,
-        key_attr: AttrId,
-        value_attr: AttrId,
-    ) -> Result<Vec<(i64, f64)>> {
-        self.ensure_device_replica(rel, value_attr)?;
-        let mut positions: std::collections::BTreeMap<i64, Vec<u64>> = Default::default();
-        self.scan_column(rel, key_attr, &mut |row, v| {
-            if let Ok(k) = v.as_i64() {
-                positions.entry(k).or_default().push(row);
-            }
-        })?;
-        let device = self.device.clone();
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(value_attr);
-            let col = self.cache.lookup(rel, value_attr, r.version)?.ok_or_else(|| {
-                Error::Internal(format!("no fresh device replica of attr {value_attr}"))
-            })?;
-            let mut out = Vec::with_capacity(positions.len());
-            for (key, pos) in &positions {
-                let gathered = kernels::gather(&device, col.buf, 8, pos)?;
-                let sum = with_retry(&RetryPolicy::default(), device.ledger(), || {
-                    kernels::reduce_sum_f64(&device, gathered)
-                });
-                device.free(gathered)?;
-                out.push((*key, sum?));
-            }
-            Ok(out)
-        })
+        attr: AttrId,
+        agg: &Aggregate,
+        route: Route,
+    ) -> Result<QueryOutput> {
+        if route != Route::DevicePipelined {
+            return Err(Error::Internal(format!("no {} offload", route.label())));
+        }
+        self.ensure_device_replica(rel, attr)?;
+        self.aggregate_on_device(rel, attr, agg)
     }
 
     /// Batch materialization: one registry read, one snapshot timestamp,

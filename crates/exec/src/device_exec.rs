@@ -270,9 +270,8 @@ fn pipelined_sum_into(
     let trace_epoch = obs::current().map(|t| t.now_ns());
     let mut reduce_to = |compute: &mut SimStream<'_>, lo: usize, hi: usize| -> Result<()> {
         let k0 = compute.cursor_ns();
-        let part = with_retry(&policy, device.ledger(), || match pred {
-            None => kernels::reduce_partials_f64(compute, buf, total_rows, lo, hi),
-            Some(p) => kernels::filter_partials_f64(compute, buf, total_rows, lo, hi, p),
+        let part = with_retry(&policy, device.ledger(), || {
+            kernels::reduce_partials_f64(compute, buf, total_rows, lo, hi, pred)
         })?;
         if let Some(epoch) = trace_epoch {
             obs::span_at(

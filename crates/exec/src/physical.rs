@@ -1,18 +1,18 @@
 //! Physical-plan interpreter: executes a routed [`PhysicalPlan`] against
 //! any [`StorageEngine`], using the persistent morsel pool for host routes
-//! and the engine's device hooks for device routes.
+//! and the engine's offload hook for device and scatter routes.
 //!
 //! **Bit-identity across routes** is the module's invariant and what the
-//! planner property tests pin: every route reduces in the *canonical
-//! order* — the device kernels' two-pass tree reduction
-//! ([`htapg_device::kernels::reduce_seg_len`] segmentation, per-segment
-//! [`htapg_device::kernels::tree_sum`], then a tree sum of the partials).
-//! [`canonical_sum`] replicates it on the host; the pooled variant folds
-//! per-segment partials in morsel order, so thread count cannot perturb
-//! the result; the naive volcano oracle ([`volcano_sum`]) feeds the same
-//! reduction from tuple-at-a-time reads. A query may therefore bounce
-//! between host and device from one execution to the next (cache warmth,
-//! relation growth) without ever changing a single result bit.
+//! planner property tests pin. It holds by construction: every route —
+//! the device kernels, the host [`reduce`], the [`volcano`] oracle — cuts
+//! its input with the one segment-partial reduction
+//! ([`kernels::segment_partials`]: segment, optional predicate, per-segment
+//! [`kernels::tree_sum`]) and tree-sums the partials. Only the segment
+//! geometry varies with the plan ([`Segmentation`]); the pooled host route
+//! folds per-segment partials in morsel order, so thread count cannot
+//! perturb the result either. A query may therefore bounce between host
+//! and device from one execution to the next (cache warmth, relation
+//! growth) without ever changing a single result bit.
 //!
 //! Every executed node opens a `plan.*` span carrying the route, the
 //! planner's estimate, and the input rows, so PR 4's `TraceReport` renders
@@ -20,190 +20,117 @@
 
 use htapg_core::engine::StorageEngine;
 use htapg_core::plan::{
-    LogicalPlan, PhysicalNode, PhysicalOp, PhysicalPlan, Predicate, Route, ScanStrategy,
+    Aggregate, LogicalPlan, PhysicalNode, PhysicalOp, PhysicalPlan, Route, ScanStrategy,
 };
-use htapg_core::{obs, AttrId, DataType, Error, Record, RelationId, Result, Value};
+use htapg_core::{obs, AttrId, DataType, Error, RelationId, Result, Value};
 use htapg_device::kernels;
-use std::collections::BTreeMap;
+
+pub use htapg_core::plan::QueryOutput;
 
 use crate::threading::{run_blocks, ThreadingPolicy};
 
-/// Result of interpreting a plan.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryOutput {
-    Sum(f64),
-    Groups(Vec<(i64, f64)>),
-    Records(Vec<Record>),
-    Record(Record),
-    Updated,
+/// How a reduction cuts its input into segments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Segmentation {
+    /// The device's pass-1 geometry: [`kernels::reduce_seg_len`] rows per
+    /// segment, fixed by the total row count (a group-sum applies it to
+    /// each group's values).
+    Canonical,
+    /// Placement fragments of this many consecutive global rows — the
+    /// geometry of a plan node with `partition_rows > 0`. Fragments, not
+    /// nodes, are the reduction unit, so the result is invariant under
+    /// node count and placement policy.
+    Fragments(usize),
 }
 
-impl QueryOutput {
-    pub fn as_sum(&self) -> Option<f64> {
-        match self {
-            QueryOutput::Sum(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    pub fn as_groups(&self) -> Option<&[(i64, f64)]> {
-        match self {
-            QueryOutput::Groups(g) => Some(g),
-            _ => None,
-        }
-    }
-}
-
-/// The canonical reduction: segment exactly like the device's pass 1
-/// (`reduce_seg_len`), tree-sum each segment, tree-sum the partials.
-/// Bit-identical to [`kernels::reduce_sum_f64`] over the same values.
-pub fn canonical_sum(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let seg = kernels::reduce_seg_len(values.len());
-    let partials: Vec<f64> = values.chunks(seg).map(kernels::tree_sum).collect();
-    kernels::tree_sum(&partials)
-}
-
-/// Pooled canonical reduction: the per-segment partials are computed by
-/// the morsel pool and folded *in segment order*, so the partial vector —
-/// and therefore the result — is bit-identical to [`canonical_sum`] for
-/// every pool size.
-pub fn pooled_canonical_sum(values: &[f64], policy: ThreadingPolicy) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let n = values.len();
-    let seg = kernels::reduce_seg_len(n);
-    let segments = kernels::reduce_segments(n);
-    let partials = run_blocks(
-        segments as u64,
-        policy,
-        |lo, hi| {
-            (lo as usize..hi as usize)
-                .map(|s| kernels::tree_sum(&values[s * seg..((s + 1) * seg).min(n)]))
-                .collect::<Vec<f64>>()
-        },
-        |mut a, mut b| {
-            a.append(&mut b);
-            a
-        },
-        Vec::new(),
-    );
-    kernels::tree_sum(&partials)
-}
-
-/// Canonical *fused* filter+sum: per segment, compact the values matching
-/// `pred` and tree-sum the compacted slice — exactly the semantics of
-/// [`kernels::filter_partials_f64`], so host and device filtered sums are
-/// bit-identical.
-pub fn canonical_filter_sum(values: &[f64], pred: &Predicate) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let seg = kernels::reduce_seg_len(values.len());
-    let partials: Vec<f64> = values
-        .chunks(seg)
-        .map(|c| {
-            let kept: Vec<f64> = c.iter().copied().filter(|&v| pred.matches(v)).collect();
-            kernels::tree_sum(&kept)
-        })
-        .collect();
-    kernels::tree_sum(&partials)
-}
-
-/// The *sharded* canonical reduction: one tree-ordered partial per
-/// placement fragment (`partition_rows` consecutive global rows), then a
-/// tree sum of the per-fragment partials in global fragment order.
-/// Fragments — not nodes — are the reduction unit, so the result is
-/// invariant under node count and placement policy: every cluster width
-/// produces exactly these partials, merely computing them on different
-/// nodes. Bit-identical to gathering
-/// [`kernels::reduce_fragment_partials_f64`] across shards.
-pub fn sharded_canonical_sum(values: &[f64], partition_rows: usize) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let partials: Vec<f64> = values.chunks(partition_rows.max(1)).map(kernels::tree_sum).collect();
-    kernels::tree_sum(&partials)
-}
-
-/// Sharded fused filter+sum: per fragment, tree-sum the qualifying values
-/// (the host mirror of [`kernels::filter_fragment_partials_f64`]).
-pub fn sharded_canonical_filter_sum(
+/// The host reduction every host route and oracle runs: `values` (and, for
+/// a group-sum, the `keys` of the same rows) reduced as `agg` under `seg`.
+/// With a `pool` policy the segments — or a canonical group-sum's groups —
+/// are reduced on the morsel pool and folded in order, bit-identical to
+/// the serial pass for every pool size.
+pub fn reduce(
+    agg: &Aggregate,
     values: &[f64],
-    pred: &Predicate,
-    partition_rows: usize,
-) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let partials: Vec<f64> = values
-        .chunks(partition_rows.max(1))
-        .map(|c| {
-            let kept: Vec<f64> = c.iter().copied().filter(|&v| pred.matches(v)).collect();
-            kernels::tree_sum(&kept)
-        })
-        .collect();
-    kernels::tree_sum(&partials)
-}
-
-/// Sharded group-sum over collected key/value columns: each fragment
-/// groups its values by key in row order and tree-reduces per key; each
-/// key's final sum is the tree sum of its per-fragment partials in global
-/// fragment order. Returns `(key, sum)` ordered by key — the host mirror
-/// of gathering [`kernels::keyed_fragment_partials_f64`] across shards.
-pub fn sharded_group_sum(keys: &[i64], values: &[f64], partition_rows: usize) -> Vec<(i64, f64)> {
-    let part = partition_rows.max(1);
-    let mut acc: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-    for (kf, vf) in keys.chunks(part).zip(values.chunks(part)) {
-        let mut frag: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-        for (&k, &v) in kf.iter().zip(vf) {
-            frag.entry(k).or_default().push(v);
-        }
-        for (k, vs) in frag {
-            acc.entry(k).or_default().push(kernels::tree_sum(&vs));
-        }
-    }
-    acc.into_iter().map(|(k, partials)| (k, kernels::tree_sum(&partials))).collect()
-}
-
-/// Pooled variant of [`canonical_filter_sum`] (same partials, morsel-order
-/// fold).
-pub fn pooled_canonical_filter_sum(
-    values: &[f64],
-    pred: &Predicate,
-    policy: ThreadingPolicy,
-) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
+    keys: &[i64],
+    seg: Segmentation,
+    pool: Option<ThreadingPolicy>,
+) -> QueryOutput {
     let n = values.len();
-    let seg = kernels::reduce_seg_len(n);
-    let segments = kernels::reduce_segments(n);
-    let partials = run_blocks(
-        segments as u64,
-        policy,
-        |lo, hi| {
-            (lo as usize..hi as usize)
-                .map(|s| {
-                    let kept: Vec<f64> = values[s * seg..((s + 1) * seg).min(n)]
-                        .iter()
-                        .copied()
-                        .filter(|&v| pred.matches(v))
-                        .collect();
-                    kernels::tree_sum(&kept)
-                })
-                .collect::<Vec<f64>>()
-        },
-        |mut a, mut b| {
-            a.append(&mut b);
-            a
-        },
-        Vec::new(),
-    );
-    kernels::tree_sum(&partials)
+    match (agg, seg) {
+        (Aggregate::GroupSum { .. }, Segmentation::Fragments(part)) => QueryOutput::Groups(
+            kernels::merge_keyed_partials(&kernels::keyed_segment_partials(keys, values, part)),
+        ),
+        (Aggregate::GroupSum { .. }, Segmentation::Canonical) => {
+            let groups = kernels::group_by_key(keys, values);
+            QueryOutput::Groups(fold(groups.len(), pool, |lo, hi| {
+                groups[lo..hi].iter().map(|(k, vs)| (*k, kernels::reduce_values_f64(vs))).collect()
+            }))
+        }
+        (_, seg) => {
+            let seg_len = match seg {
+                Segmentation::Canonical => kernels::reduce_seg_len(n),
+                Segmentation::Fragments(part) => part.max(1),
+            };
+            let pred = agg.pred().map(|p| move |v: f64| p.matches(v));
+            let partials = fold(n.div_ceil(seg_len), pool, |lo, hi| {
+                kernels::segment_partials(
+                    &values[lo * seg_len..(hi * seg_len).min(n)],
+                    seg_len,
+                    pred,
+                )
+            });
+            QueryOutput::Sum(kernels::tree_sum(&partials))
+        }
+    }
+}
+
+/// `work(0, n)` on the calling thread, or `work` over morsels of `[0, n)`
+/// on the pool with the results concatenated in morsel order.
+fn fold<T: Send>(
+    n: usize,
+    pool: Option<ThreadingPolicy>,
+    work: impl Fn(usize, usize) -> Vec<T> + Sync,
+) -> Vec<T> {
+    match pool {
+        None => work(0, n),
+        Some(policy) => run_blocks(
+            n as u64,
+            policy,
+            |lo, hi| work(lo as usize, hi as usize),
+            |mut a, mut b| {
+                a.append(&mut b);
+                a
+            },
+            Vec::new(),
+        ),
+    }
+}
+
+/// The naive volcano oracle: tuple-at-a-time `read_field` per row, fed
+/// through [`reduce`]. Every planner route must be bit-identical to this
+/// under the plan's [`Segmentation`] (the property the planner and
+/// scatter-gather tests check).
+pub fn volcano(
+    engine: &dyn StorageEngine,
+    rel: RelationId,
+    attr: AttrId,
+    agg: &Aggregate,
+    seg: Segmentation,
+) -> Result<QueryOutput> {
+    let ty = engine.schema(rel)?.ty(attr)?;
+    if !ty.is_numeric() {
+        return Err(Error::NonNumericAggregate { attr, got: ty.name() });
+    }
+    let rows = engine.row_count(rel)?;
+    let mut keys = Vec::new();
+    let mut values = Vec::with_capacity(rows as usize);
+    for row in 0..rows {
+        if let Aggregate::GroupSum { key_attr } = *agg {
+            keys.push(engine.read_field(rel, row, key_attr)?.as_i64()?);
+        }
+        values.push(engine.read_field(rel, row, attr)?.as_f64()?);
+    }
+    Ok(reduce(agg, &values, &keys, seg, None))
 }
 
 fn decoder(ty: DataType) -> Result<fn(&[u8]) -> f64> {
@@ -257,7 +184,7 @@ pub fn collect_f64(
 /// Collect an integer key column in row order.
 fn collect_keys(engine: &dyn StorageEngine, rel: RelationId, attr: AttrId) -> Result<Vec<i64>> {
     let ty = engine.schema(rel)?.ty(attr)?;
-    if !matches!(ty, DataType::Int32 | DataType::Int64 | DataType::Date) {
+    if !ty.is_integer() {
         return Err(Error::NonNumericAggregate { attr, got: ty.name() });
     }
     let mut keys = Vec::with_capacity(engine.row_count(rel)? as usize);
@@ -265,140 +192,6 @@ fn collect_keys(engine: &dyn StorageEngine, rel: RelationId, attr: AttrId) -> Re
         keys.push(v.as_i64().expect("key type checked integer above"));
     })?;
     Ok(keys)
-}
-
-/// Host group-sum: group values by key preserving row order, reduce each
-/// group canonically, return `(key, sum)` ordered by key. The pooled
-/// route distributes the per-group reductions over the morsel pool (fold
-/// in group order — bit-identical to the serial pass).
-pub fn group_sum_host(
-    engine: &dyn StorageEngine,
-    rel: RelationId,
-    key_attr: AttrId,
-    value_attr: AttrId,
-    strategy: ScanStrategy,
-    policy: Option<ThreadingPolicy>,
-) -> Result<Vec<(i64, f64)>> {
-    let keys = collect_keys(engine, rel, key_attr)?;
-    let values = collect_f64(engine, rel, value_attr, strategy)?;
-    if keys.len() != values.len() {
-        return Err(Error::Internal(format!(
-            "group-sum column length mismatch: {} keys vs {} values",
-            keys.len(),
-            values.len()
-        )));
-    }
-    let mut groups: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-    for (k, v) in keys.into_iter().zip(values) {
-        groups.entry(k).or_default().push(v);
-    }
-    let groups: Vec<(i64, Vec<f64>)> = groups.into_iter().collect();
-    match policy {
-        None => Ok(groups.into_iter().map(|(k, vs)| (k, canonical_sum(&vs))).collect()),
-        Some(policy) => Ok(run_blocks(
-            groups.len() as u64,
-            policy,
-            |lo, hi| {
-                groups[lo as usize..hi as usize]
-                    .iter()
-                    .map(|(k, vs)| (*k, canonical_sum(vs)))
-                    .collect::<Vec<(i64, f64)>>()
-            },
-            |mut a, mut b| {
-                a.append(&mut b);
-                a
-            },
-            Vec::new(),
-        )),
-    }
-}
-
-/// The naive volcano oracle: tuple-at-a-time `read_field` per row, then
-/// the canonical reduction. Every planner route must be bit-identical to
-/// this (the property the planner tests check).
-pub fn volcano_sum(engine: &dyn StorageEngine, rel: RelationId, attr: AttrId) -> Result<f64> {
-    Ok(canonical_sum(&volcano_values(engine, rel, attr)?))
-}
-
-/// Volcano oracle for the fused filter+sum shape.
-pub fn volcano_filter_sum(
-    engine: &dyn StorageEngine,
-    rel: RelationId,
-    attr: AttrId,
-    pred: &Predicate,
-) -> Result<f64> {
-    Ok(canonical_filter_sum(&volcano_values(engine, rel, attr)?, pred))
-}
-
-/// Volcano oracle for group-sum.
-pub fn volcano_group_sum(
-    engine: &dyn StorageEngine,
-    rel: RelationId,
-    key_attr: AttrId,
-    value_attr: AttrId,
-) -> Result<Vec<(i64, f64)>> {
-    let rows = engine.row_count(rel)?;
-    let mut groups: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-    for row in 0..rows {
-        let k = engine.read_field(rel, row, key_attr)?.as_i64()?;
-        let v = engine.read_field(rel, row, value_attr)?.as_f64()?;
-        groups.entry(k).or_default().push(v);
-    }
-    Ok(groups.into_iter().map(|(k, vs)| (k, canonical_sum(&vs))).collect())
-}
-
-/// Single-node volcano oracle for a *sharded* plan: tuple-at-a-time reads
-/// fed through the fragment-granularity reduction. Every scatter-gather
-/// execution, at any node count, must be bit-identical to this.
-pub fn sharded_volcano_sum(
-    engine: &dyn StorageEngine,
-    rel: RelationId,
-    attr: AttrId,
-    partition_rows: usize,
-) -> Result<f64> {
-    Ok(sharded_canonical_sum(&volcano_values(engine, rel, attr)?, partition_rows))
-}
-
-/// Sharded volcano oracle for the fused filter+sum shape.
-pub fn sharded_volcano_filter_sum(
-    engine: &dyn StorageEngine,
-    rel: RelationId,
-    attr: AttrId,
-    pred: &Predicate,
-    partition_rows: usize,
-) -> Result<f64> {
-    Ok(sharded_canonical_filter_sum(&volcano_values(engine, rel, attr)?, pred, partition_rows))
-}
-
-/// Sharded volcano oracle for group-sum.
-pub fn sharded_volcano_group_sum(
-    engine: &dyn StorageEngine,
-    rel: RelationId,
-    key_attr: AttrId,
-    value_attr: AttrId,
-    partition_rows: usize,
-) -> Result<Vec<(i64, f64)>> {
-    let rows = engine.row_count(rel)?;
-    let mut keys = Vec::with_capacity(rows as usize);
-    let mut values = Vec::with_capacity(rows as usize);
-    for row in 0..rows {
-        keys.push(engine.read_field(rel, row, key_attr)?.as_i64()?);
-        values.push(engine.read_field(rel, row, value_attr)?.as_f64()?);
-    }
-    Ok(sharded_group_sum(&keys, &values, partition_rows))
-}
-
-fn volcano_values(engine: &dyn StorageEngine, rel: RelationId, attr: AttrId) -> Result<Vec<f64>> {
-    let ty = engine.schema(rel)?.ty(attr)?;
-    if !ty.is_numeric() {
-        return Err(Error::NonNumericAggregate { attr, got: ty.name() });
-    }
-    let rows = engine.row_count(rel)?;
-    let mut values = Vec::with_capacity(rows as usize);
-    for row in 0..rows {
-        values.push(engine.read_field(rel, row, attr)?.as_f64()?);
-    }
-    Ok(values)
 }
 
 fn node_span(node: &PhysicalNode) -> obs::SpanGuard {
@@ -544,13 +337,8 @@ fn exec_node(
                 other => Ok(other),
             }
         }
-        PhysicalOp::AggregateSum => {
-            let (rel, attr, pred) = sum_input(node)?;
-            exec_sum(engine, node, rel, attr, pred, policy, &mut span, executed)
-        }
-        PhysicalOp::AggregateGroupSum { key_attr } => {
-            let (rel, value_attr) = group_input(node)?;
-            exec_group_sum(engine, node, rel, *key_attr, value_attr, policy, &mut span, executed)
+        PhysicalOp::AggregateSum | PhysicalOp::AggregateGroupSum { .. } => {
+            exec_aggregate(engine, node, policy, &mut span, executed)
         }
         PhysicalOp::Scan { rel, attr } => {
             // A bare scan materializes the column as records of one value
@@ -562,41 +350,16 @@ fn exec_node(
             Err(Error::Internal("filter outside an aggregate is not executable".into()))
         }
         PhysicalOp::Gather { .. } => {
-            Err(Error::Internal("gather is executed by the engine's scatter hook".into()))
+            Err(Error::Internal("gather is executed by the engine's offload hook".into()))
         }
     }
 }
 
-/// Pull `(rel, attr, predicate)` out of an `AggregateSum` node's children.
-/// A scatter root's only child is the `Gather` node; all per-shard
-/// subtrees scan the same `(rel, attr)` with the same predicate, so the
-/// first subtree is descended into as the representative.
-fn sum_input(node: &PhysicalNode) -> Result<(RelationId, AttrId, Option<Predicate>)> {
-    let mut input = node
-        .children
-        .first()
-        .ok_or_else(|| Error::Internal("aggregate without scan input".into()))?;
-    if matches!(input.op, PhysicalOp::Gather { .. }) {
-        input = input
-            .children
-            .first()
-            .and_then(|sub| sub.children.first())
-            .ok_or_else(|| Error::Internal("gather without per-shard subtree".into()))?;
-    }
-    match &input.op {
-        PhysicalOp::Scan { rel, attr } => Ok((*rel, *attr, None)),
-        PhysicalOp::Filter { pred } => match input.children.first().map(|c| &c.op) {
-            Some(PhysicalOp::Scan { rel, attr }) => Ok((*rel, *attr, Some(*pred))),
-            _ => Err(Error::Internal("filter without scan input".into())),
-        },
-        _ => Err(Error::Internal("aggregate without scan input".into())),
-    }
-}
-
-/// Pull `(rel, value_attr)` out of a group-sum node (children are the key
-/// scan then the value scan; for a scatter root, descend through the
-/// `Gather` into the first per-shard subtree first).
-fn group_input(node: &PhysicalNode) -> Result<(RelationId, AttrId)> {
+/// Pull `(rel, value attr, aggregate)` out of an aggregate node. A
+/// scatter root's only child is the `Gather` node; all per-shard subtrees
+/// aggregate the same input, so the first subtree stands in for them. A
+/// group-sum's children are the key scan then the value scan.
+fn aggregate_input(node: &PhysicalNode) -> Result<(RelationId, AttrId, Aggregate)> {
     let mut holder = node;
     if let Some(first) = node.children.first() {
         if matches!(first.op, PhysicalOp::Gather { .. }) {
@@ -606,148 +369,83 @@ fn group_input(node: &PhysicalNode) -> Result<(RelationId, AttrId)> {
                 .ok_or_else(|| Error::Internal("gather without per-shard subtree".into()))?;
         }
     }
-    match holder.children.last().map(|c| &c.op) {
-        Some(PhysicalOp::Scan { rel, attr }) => Ok((*rel, *attr)),
-        _ => Err(Error::Internal("group-sum without value scan".into())),
+    let input = holder
+        .children
+        .last()
+        .ok_or_else(|| Error::Internal("aggregate without scan input".into()))?;
+    match (&node.op, &input.op) {
+        (PhysicalOp::AggregateGroupSum { key_attr }, PhysicalOp::Scan { rel, attr }) => {
+            Ok((*rel, *attr, Aggregate::GroupSum { key_attr: *key_attr }))
+        }
+        (PhysicalOp::AggregateSum, PhysicalOp::Scan { rel, attr }) => {
+            Ok((*rel, *attr, Aggregate::Sum))
+        }
+        (PhysicalOp::AggregateSum, PhysicalOp::Filter { pred }) => {
+            match input.children.first().map(|c| &c.op) {
+                Some(PhysicalOp::Scan { rel, attr }) => {
+                    Ok((*rel, *attr, Aggregate::FilterSum(*pred)))
+                }
+                _ => Err(Error::Internal("filter without scan input".into())),
+            }
+        }
+        _ => Err(Error::Internal("aggregate without scan input".into())),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec_sum(
+/// Run an aggregate node: offload it to the engine when the plan routes it
+/// to the device or the shards, otherwise — or when the offload fails
+/// (stale replica, device fault, exhausted retries, no hook) — reduce it
+/// on the host under the node's own geometry, which is bit-identical.
+fn exec_aggregate(
     engine: &dyn StorageEngine,
     node: &PhysicalNode,
-    rel: RelationId,
-    attr: AttrId,
-    pred: Option<Predicate>,
     policy: ThreadingPolicy,
     span: &mut obs::SpanGuard,
     executed: &mut Route,
 ) -> Result<QueryOutput> {
-    if let Route::Scatter { .. } = node.route {
-        // Sharded placement: the engine fans the aggregate out to the
-        // owning shards and gathers the per-fragment partials in canonical
-        // order. On failure (exhausted retries, no hook) degrade to the
-        // host sharded reduction — same fragment geometry, bit-identical.
-        match engine.scatter_sum(rel, attr, pred.as_ref()) {
-            Ok(sum) => return Ok(QueryOutput::Sum(sum)),
-            Err(e) if !matches!(e, Error::NonNumericAggregate { .. }) => {
-                if span.is_recording() {
-                    span.arg("fallback", "host");
-                }
-                *executed = Route::InlineVolcano;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if node.route == Route::DevicePipelined {
-        let device_result = match pred {
-            None => engine.device_sum_column(rel, attr),
-            Some(ref p) => engine.device_filter_sum(rel, attr, p),
-        };
-        match device_result {
-            Ok(sum) => return Ok(QueryOutput::Sum(sum)),
-            // Stale replica, device fault, or no hook: degrade to the host
-            // canonical reduction — bit-identical, just differently
-            // priced. Recorded on the span so EXPLAIN shows the miss, and
-            // on `executed` so calibration attributes the residual to the
+    let (rel, attr, agg) = aggregate_input(node)?;
+    if matches!(node.route, Route::DevicePipelined | Route::Scatter { .. }) {
+        match engine.offload_aggregate(rel, attr, &agg, node.route) {
+            Ok(out) => return Ok(out),
+            Err(e @ Error::NonNumericAggregate { .. }) => return Err(e),
+            // Recorded on the span so EXPLAIN shows the miss, and on
+            // `executed` so calibration attributes the residual to the
             // route that actually ran.
-            Err(e) if !matches!(e, Error::NonNumericAggregate { .. }) => {
+            Err(_) => {
                 if span.is_recording() {
                     span.arg("fallback", "host");
                 }
                 *executed = Route::InlineVolcano;
             }
-            Err(e) => return Err(e),
         }
     }
-    let values = collect_f64(engine, rel, attr, node.strategy)?;
-    if node.partition_rows > 0 {
-        // Sharded plans reduce at fragment granularity regardless of who
-        // executes them, so the host fallback matches the gathered result.
-        let sum = match pred {
-            None => sharded_canonical_sum(&values, node.partition_rows as usize),
-            Some(ref p) => sharded_canonical_filter_sum(&values, p, node.partition_rows as usize),
-        };
-        return Ok(QueryOutput::Sum(sum));
-    }
-    let sum = match (node.route, pred) {
-        (Route::HostPooledMorsel, None) => pooled_canonical_sum(&values, policy),
-        (Route::HostPooledMorsel, Some(ref p)) => pooled_canonical_filter_sum(&values, p, policy),
-        (_, None) => canonical_sum(&values),
-        (_, Some(ref p)) => canonical_filter_sum(&values, p),
+    let keys = match agg {
+        Aggregate::GroupSum { key_attr } => collect_keys(engine, rel, key_attr)?,
+        _ => Vec::new(),
     };
-    Ok(QueryOutput::Sum(sum))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exec_group_sum(
-    engine: &dyn StorageEngine,
-    node: &PhysicalNode,
-    rel: RelationId,
-    key_attr: AttrId,
-    value_attr: AttrId,
-    policy: ThreadingPolicy,
-    span: &mut obs::SpanGuard,
-    executed: &mut Route,
-) -> Result<QueryOutput> {
-    if let Route::Scatter { .. } = node.route {
-        match engine.scatter_group_sum(rel, key_attr, value_attr) {
-            Ok(groups) => return Ok(QueryOutput::Groups(groups)),
-            Err(e) if !matches!(e, Error::NonNumericAggregate { .. }) => {
-                if span.is_recording() {
-                    span.arg("fallback", "host");
-                }
-                *executed = Route::InlineVolcano;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if node.route == Route::DevicePipelined {
-        match engine.device_group_sum(rel, key_attr, value_attr) {
-            Ok(groups) => return Ok(QueryOutput::Groups(groups)),
-            Err(e) if !matches!(e, Error::NonNumericAggregate { .. }) => {
-                if span.is_recording() {
-                    span.arg("fallback", "host");
-                }
-                *executed = Route::InlineVolcano;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if node.partition_rows > 0 {
-        let keys = collect_keys(engine, rel, key_attr)?;
-        let values = collect_f64(engine, rel, value_attr, node.strategy)?;
-        if keys.len() != values.len() {
-            return Err(Error::Internal(format!(
-                "group-sum column length mismatch: {} keys vs {} values",
-                keys.len(),
-                values.len()
-            )));
-        }
-        return Ok(QueryOutput::Groups(sharded_group_sum(
-            &keys,
-            &values,
-            node.partition_rows as usize,
+    let values = collect_f64(engine, rel, attr, node.strategy)?;
+    if matches!(agg, Aggregate::GroupSum { .. }) && keys.len() != values.len() {
+        return Err(Error::Internal(format!(
+            "group-sum column length mismatch: {} keys vs {} values",
+            keys.len(),
+            values.len()
         )));
     }
-    let pooled = if node.route == Route::HostPooledMorsel { Some(policy) } else { None };
-    Ok(QueryOutput::Groups(group_sum_host(
-        engine,
-        rel,
-        key_attr,
-        value_attr,
-        node.strategy,
-        pooled,
-    )?))
+    let seg = match node.partition_rows {
+        0 => Segmentation::Canonical,
+        rows => Segmentation::Fragments(rows as usize),
+    };
+    let pool = (node.route == Route::HostPooledMorsel).then_some(policy);
+    Ok(reduce(&agg, &values, &keys, seg, pool))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htapg_core::plan::LogicalPlan;
+    use htapg_core::plan::{LogicalPlan, Predicate};
     use htapg_core::prng::Prng;
     use htapg_core::sync::RwLock;
-    use htapg_core::{LayoutTemplate, Relation, RowId, Schema};
+    use htapg_core::{LayoutTemplate, Record, Relation, RowId, Schema};
     use htapg_taxonomy::{
         Classification, DataLocality, DataLocation, FragmentLinearization, FragmentScheme,
         LayoutAdaptability, LayoutFlexibility, LayoutHandling, ProcessorSupport, WorkloadSupport,
@@ -831,6 +529,17 @@ mod tests {
         }
     }
 
+    /// [`reduce`] of a (filtered) sum, unwrapped.
+    fn sum_of(
+        values: &[f64],
+        pred: Option<Predicate>,
+        seg: Segmentation,
+        pool: Option<ThreadingPolicy>,
+    ) -> f64 {
+        let agg = pred.map_or(Aggregate::Sum, Aggregate::FilterSum);
+        reduce(&agg, values, &[], seg, pool).as_sum().unwrap()
+    }
+
     fn toy_with_rows(n: usize, rng: &mut Prng) -> Toy {
         let e = Toy { rel: RwLock::new(None) };
         let s = Schema::of(&[("d", DataType::Int32), ("price", DataType::Float64)]);
@@ -852,9 +561,12 @@ mod tests {
     fn canonical_sum_matches_device_reduction_shape() {
         // Mirror of the device kernels' bit-identity test, host-side.
         let values: Vec<f64> = (0..123_457).map(|i| (i as f64) * 0.3125).collect();
-        let serial = canonical_sum(&values);
+        let serial = sum_of(&values, None, Segmentation::Canonical, None);
         for policy in [ThreadingPolicy::Single, ThreadingPolicy::multi8()] {
-            assert_eq!(serial.to_bits(), pooled_canonical_sum(&values, policy).to_bits());
+            assert_eq!(
+                serial.to_bits(),
+                sum_of(&values, None, Segmentation::Canonical, Some(policy)).to_bits()
+            );
         }
         // And against the actual device kernel.
         let device = htapg_device::SimDevice::with_defaults();
@@ -869,11 +581,11 @@ mod tests {
     fn filter_sum_is_bit_identical_to_device_fused_kernel() {
         let values: Vec<f64> = (0..50_000).map(|i| (i as f64) * 0.5 - 1000.0).collect();
         let pred = Predicate::Ge(0.0);
-        let host = canonical_filter_sum(&values, &pred);
+        let host = sum_of(&values, Some(pred), Segmentation::Canonical, None);
         for policy in [ThreadingPolicy::Single, ThreadingPolicy::multi8()] {
             assert_eq!(
                 host.to_bits(),
-                pooled_canonical_filter_sum(&values, &pred, policy).to_bits()
+                sum_of(&values, Some(pred), Segmentation::Canonical, Some(policy)).to_bits()
             );
         }
         let device = htapg_device::SimDevice::with_defaults();
@@ -890,7 +602,7 @@ mod tests {
         // split of the fragments across nodes gathers to the same bits.
         let values: Vec<f64> = (0..40_000).map(|i| (i as f64) * 0.7 - 3000.0).collect();
         let part = 1024usize;
-        let whole = sharded_canonical_sum(&values, part);
+        let whole = sum_of(&values, None, Segmentation::Fragments(part), None);
         // Simulate a 3-node round-robin placement: per-fragment partials
         // computed shard-locally, merged in global fragment order.
         let frags: Vec<&[f64]> = values.chunks(part).collect();
@@ -908,8 +620,8 @@ mod tests {
         let aligned: Vec<f64> = (0..1024 * 64).map(|i| (i as f64) * 0.3).collect();
         let seg = kernels::reduce_seg_len(aligned.len());
         assert_eq!(
-            sharded_canonical_sum(&aligned, seg).to_bits(),
-            canonical_sum(&aligned).to_bits()
+            sum_of(&aligned, None, Segmentation::Fragments(seg), None).to_bits(),
+            sum_of(&aligned, None, Segmentation::Canonical, None).to_bits()
         );
     }
 
@@ -917,12 +629,19 @@ mod tests {
     fn sharded_group_sum_merges_fragment_partials_per_key() {
         let keys = vec![7i64, 3, 7, 3, 9, 3];
         let values = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let got = sharded_group_sum(&keys, &values, 3);
+        let got = reduce(
+            &Aggregate::GroupSum { key_attr: 0 },
+            &values,
+            &keys,
+            Segmentation::Fragments(3),
+            None,
+        );
+        let got = got.as_groups().unwrap();
         // Fragment 0: {3: [2.0], 7: [1.0, 3.0]}; fragment 1: {3: [4.0, 6.0], 9: [5.0]}.
         assert_eq!(got, vec![(3, 12.0), (7, 4.0), (9, 5.0)]);
         // Filter variant keeps fragment geometry too.
         let pred = Predicate::Ge(3.0);
-        let fs = sharded_canonical_filter_sum(&values, &pred, 3);
+        let fs = sum_of(&values, Some(pred), Segmentation::Fragments(3), None);
         let frag0 = kernels::tree_sum(&[3.0]);
         let frag1 = kernels::tree_sum(&[4.0, 5.0, 6.0]);
         assert_eq!(fs.to_bits(), kernels::tree_sum(&[frag0, frag1]).to_bits());
@@ -940,7 +659,8 @@ mod tests {
             let e = toy_with_rows(n, &mut rng);
             let plan = e.plan(&LogicalPlan::sum(0, 1)).unwrap();
             let got = execute(&e, &plan, ThreadingPolicy::multi8()).unwrap();
-            let want = volcano_sum(&e, 0, 1).unwrap();
+            let want = volcano(&e, 0, 1, &Aggregate::Sum, Segmentation::Canonical).unwrap();
+            let want = want.as_sum().unwrap();
             assert_eq!(got.as_sum().unwrap().to_bits(), want.to_bits(), "n={n}");
         }
     }
@@ -951,7 +671,9 @@ mod tests {
         let e = toy_with_rows(5000, &mut rng);
         let plan = e.plan(&LogicalPlan::group_sum(0, 0, 1)).unwrap();
         let got = execute(&e, &plan, ThreadingPolicy::Single).unwrap();
-        let want = volcano_group_sum(&e, 0, 0, 1).unwrap();
+        let want = volcano(&e, 0, 1, &Aggregate::GroupSum { key_attr: 0 }, Segmentation::Canonical)
+            .unwrap();
+        let want = want.as_groups().unwrap().to_vec();
         assert_eq!(got.as_groups().unwrap(), &want[..]);
         // Keys are sorted and cover the inserted domain.
         let keys: Vec<i64> = want.iter().map(|&(k, _)| k).collect();
@@ -1010,7 +732,8 @@ mod tests {
         let engine = Calibrated::new(Box::new(toy_with_rows(1000, &mut rng)));
         let profiles = engine.profiles();
         let logical = LogicalPlan::sum(0, 1);
-        let want = volcano_sum(&engine, 0, 1).unwrap();
+        let want = volcano(&engine, 0, 1, &Aggregate::Sum, Segmentation::Canonical).unwrap();
+        let want = want.as_sum().unwrap();
         let mut replans = 0;
         for round in 0..6 {
             let out = execute_adaptive(&engine, &logical, ThreadingPolicy::Single).unwrap();
@@ -1039,7 +762,8 @@ mod tests {
         let pred = Predicate::Ge(5000.0);
         let plan = e.plan(&LogicalPlan::filter_sum(0, 1, pred)).unwrap();
         let got = execute(&e, &plan, ThreadingPolicy::Single).unwrap();
-        let want = volcano_filter_sum(&e, 0, 1, &pred).unwrap();
+        let want = volcano(&e, 0, 1, &Aggregate::FilterSum(pred), Segmentation::Canonical).unwrap();
+        let want = want.as_sum().unwrap();
         assert_eq!(got.as_sum().unwrap().to_bits(), want.to_bits());
     }
 }

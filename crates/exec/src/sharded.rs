@@ -10,9 +10,10 @@
 //! the interconnect, every shard reduces its local fragments on its own
 //! simulated device, and the coordinator merges the per-fragment partials
 //! *in global fragment order* — which makes the result bit-identical to
-//! the single-node sharded oracle ([`crate::physical::sharded_volcano_sum`])
-//! at every node count, because the partial set is fixed by the fragment
-//! geometry alone; the cluster width only decides who computes each one.
+//! the single-node oracle ([`crate::physical::volcano`] under fragment
+//! segmentation) at every node count, because the partial set is fixed by
+//! the fragment geometry alone; the cluster width only decides who
+//! computes each one.
 //!
 //! Costs follow the paper's storage-engine framing: cross-node messages
 //! are priced exactly like PCIe (latency + bytes/bandwidth) and charged to
@@ -29,15 +30,14 @@
 //! message is retried (bounded, virtual-time backoff) or fails the whole
 //! gather: a partial gather is never returned.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use htapg_core::calibrate::CalibrationProfiles;
 use htapg_core::engine::StorageEngine;
 use htapg_core::obs;
 use htapg_core::plan::{
-    ColumnEvidence, DeviceCostProfile, Predicate, GROUP_PARTIAL_BYTES, SCATTER_REQUEST_BYTES,
-    SUM_PARTIAL_BYTES,
+    Aggregate, ColumnEvidence, DeviceCostProfile, QueryOutput, Route, GROUP_PARTIAL_BYTES,
+    SCATTER_REQUEST_BYTES, SUM_PARTIAL_BYTES,
 };
 use htapg_core::prng::env_seed;
 use htapg_core::retry::{with_retry, RetryPolicy};
@@ -233,90 +233,57 @@ impl ShardedEngine {
         Ok(col.buf)
     }
 
-    /// Per-shard partial sums (one per local fragment, local order).
-    fn shard_sum_partials(
+    /// One shard's partials (one per local fragment, local order): place
+    /// the shard's slice of `attr` on its device and run `kernel` over it,
+    /// retrying transient launch faults. Returns the partials and the
+    /// shard's device wall time.
+    fn shard_partials<T>(
         &self,
         rel: RelationId,
         r: &ShardRel,
         shard: usize,
         attr: AttrId,
-        pred: Option<&Predicate>,
-    ) -> Result<(Vec<f64>, u64)> {
+        kernel: impl Fn(&SimDevice, htapg_device::BufferId) -> Result<Vec<T>>,
+    ) -> Result<(Vec<T>, u64)> {
         if r.stores[shard].is_empty() {
             return Ok((Vec::new(), 0));
         }
         let device = &self.devices[shard];
         let t0 = device.ledger().snapshot().wall_ns;
         let buf = self.shard_replica(rel, r, shard, attr)?;
-        let part = self.sharding.partition_rows as usize;
-        let partials = with_retry(&self.retry, device.ledger(), || match pred {
-            None => kernels::reduce_fragment_partials_f64(device, buf, part),
-            Some(p) => kernels::filter_fragment_partials_f64(device, buf, part, &|v| p.matches(v)),
-        })?;
+        let partials = with_retry(&self.retry, device.ledger(), || kernel(device, buf))?;
         let exec = device.ledger().snapshot().wall_ns.saturating_sub(t0);
         self.nodes[shard].op_ns.record(exec);
         Ok((partials, exec))
     }
 
-    /// Per-shard keyed partials (per local fragment, key-sorted inside).
-    #[allow(clippy::type_complexity)]
-    fn shard_group_partials(
+    /// Roll one send per node sequentially in canonical node order — the
+    /// scatter's requests out of the coordinator (`outbound`), or the
+    /// shards' responses back to it — so the fault sequence is
+    /// deterministic under concurrent pool execution. Sends are
+    /// overlapped-charged and retried; an exhausted retry fails the whole
+    /// scatter, so no shard is silently skipped. Returns each node's
+    /// flight time.
+    fn roll_sends(
         &self,
-        rel: RelationId,
-        r: &ShardRel,
-        shard: usize,
-        key_attr: AttrId,
-        value_attr: AttrId,
-    ) -> Result<(Vec<Vec<(i64, f64)>>, u64)> {
-        if r.stores[shard].is_empty() {
-            return Ok((Vec::new(), 0));
-        }
-        let device = &self.devices[shard];
-        let t0 = device.ledger().snapshot().wall_ns;
-        let buf = self.shard_replica(rel, r, shard, value_attr)?;
-        let keys: Vec<i64> = r.stores[shard]
-            .iter()
-            .map(|rec| rec[key_attr as usize].as_i64())
-            .collect::<Result<_>>()?;
-        let part = self.sharding.partition_rows as usize;
-        let partials = with_retry(&self.retry, device.ledger(), || {
-            kernels::keyed_fragment_partials_f64(device, buf, &keys, part)
-        })?;
-        let exec = device.ledger().snapshot().wall_ns.saturating_sub(t0);
-        self.nodes[shard].op_ns.record(exec);
-        Ok((partials, exec))
-    }
-
-    /// Scatter phase 1: roll the request sends sequentially in canonical
-    /// node order (deterministic under concurrent pool execution),
-    /// overlapped-charged, retried. An exhausted retry fails the whole
-    /// scatter — no shard is silently skipped.
-    fn roll_requests(&self, cluster: &SimCluster, k: usize) -> Result<Vec<u64>> {
-        let mut rtt = vec![0u64; k];
-        for (node, slot) in rtt.iter_mut().enumerate() {
-            *slot = with_retry(&self.retry, &self.ledger, || {
-                cluster.send_overlapped(0, node as u32, SCATTER_REQUEST_BYTES as usize)
-            })?;
-            if node != 0 {
-                self.nodes[node].net_bytes.add(SCATTER_REQUEST_BYTES);
-            }
-        }
-        Ok(rtt)
-    }
-
-    /// Scatter phase 3: roll the response sends sequentially in canonical
-    /// node order; `bytes[i]` is shard i's partial payload.
-    fn roll_responses(&self, cluster: &SimCluster, rtt: &mut [u64], bytes: &[u64]) -> Result<()> {
-        for (node, slot) in rtt.iter_mut().enumerate() {
-            let payload = bytes[node] as usize;
-            *slot += with_retry(&self.retry, &self.ledger, || {
-                cluster.send_overlapped(node as u32, 0, payload)
-            })?;
-            if node != 0 {
-                self.nodes[node].net_bytes.add(bytes[node]);
-            }
-        }
-        Ok(())
+        cluster: &SimCluster,
+        k: usize,
+        outbound: bool,
+        bytes: impl Fn(usize) -> u64,
+    ) -> Result<Vec<u64>> {
+        (0..k)
+            .map(|node| {
+                let payload = bytes(node);
+                let (from, to) = if outbound { (0, node as u32) } else { (node as u32, 0) };
+                let ns = with_retry(&self.retry, &self.ledger, || {
+                    cluster.send_overlapped(from, to, payload as usize)
+                })?;
+                if node != 0 {
+                    self.nodes[node].net_bytes.add(payload);
+                }
+                Ok(ns)
+            })
+            .collect()
     }
 
     /// Run `task` for every shard on the executor pool, collecting its
@@ -344,6 +311,37 @@ impl ShardedEngine {
             exec.push(ns);
         }
         Ok((outs, exec))
+    }
+
+    /// The scatter path every offloaded aggregate takes: roll the requests,
+    /// run `task` (one partial per local fragment) on every shard, roll the
+    /// responses (`partial_bytes` per partial), settle the cluster wall at
+    /// the slowest shard's `exec + round trip`, and return the partials in
+    /// global fragment order.
+    fn scatter<T: Send>(
+        &self,
+        r: &ShardRel,
+        task: impl Fn(usize) -> Result<(Vec<T>, u64)> + Sync,
+        partial_bytes: impl Fn(&T) -> u64,
+    ) -> Result<Vec<T>> {
+        let k = self.sharding.nodes as usize;
+        let cluster = self.cluster.read();
+        let requests = self.roll_sends(&cluster, k, true, |_| SCATTER_REQUEST_BYTES)?;
+        let (per_shard, exec) = self.run_shards(k, task)?;
+        let responses = self.roll_sends(&cluster, k, false, |node| {
+            per_shard[node].iter().map(&partial_bytes).sum()
+        })?;
+        let settle = (0..k).map(|i| exec[i] + requests[i] + responses[i]).max().unwrap_or(0);
+        self.ledger.advance_wall(settle);
+        let mut per_shard: Vec<_> = per_shard.into_iter().map(Vec::into_iter).collect();
+        r.frags
+            .iter()
+            .map(|f| {
+                per_shard[f.shard as usize]
+                    .next()
+                    .ok_or_else(|| Error::Internal("shard returned too few partials".into()))
+            })
+            .collect()
     }
 
     fn numeric_ty(&self, r: &ShardRel, attr: AttrId) -> Result<DataType> {
@@ -545,89 +543,72 @@ impl StorageEngine for ShardedEngine {
         })
     }
 
-    fn scatter_sum(&self, rel: RelationId, attr: AttrId, pred: Option<&Predicate>) -> Result<f64> {
-        let mut span = obs::span("net", "scatter.sum");
+    /// Scatter-gather: fan the aggregate out to the owning shards and
+    /// gather the per-fragment partials in canonical fragment order.
+    fn offload_aggregate(
+        &self,
+        rel: RelationId,
+        attr: AttrId,
+        agg: &Aggregate,
+        route: Route,
+    ) -> Result<QueryOutput> {
+        if !matches!(route, Route::Scatter { .. }) {
+            return Err(Error::Internal(format!("no {} offload", route.label())));
+        }
+        let group = matches!(agg, Aggregate::GroupSum { .. });
+        let mut span = obs::span("net", if group { "scatter.group_sum" } else { "scatter.sum" });
         let rels = self.rels.read();
         let r = rels.get(rel as usize).ok_or(Error::UnknownRelation(rel))?;
         self.numeric_ty(r, attr)?;
-        let k = self.sharding.nodes as usize;
-        if span.is_recording() {
-            span.arg("shards", k as u64);
-        }
-        let cluster = self.cluster.read();
-        let mut rtt = self.roll_requests(&cluster, k)?;
-        let (per_shard, exec) =
-            self.run_shards(k, |shard| self.shard_sum_partials(rel, r, shard, attr, pred))?;
-        let resp_bytes: Vec<u64> =
-            per_shard.iter().map(|p| p.len() as u64 * SUM_PARTIAL_BYTES).collect();
-        self.roll_responses(&cluster, &mut rtt, &resp_bytes)?;
-        let settle = (0..k).map(|i| exec[i] + rtt[i]).max().unwrap_or(0);
-        self.ledger.advance_wall(settle);
-        // Gather: one partial per fragment, merged in global fragment
-        // order — the shard-invariant canonical reduction.
-        let mut next = vec![0usize; k];
-        let mut partials = Vec::with_capacity(r.frags.len());
-        for f in &r.frags {
-            let s = f.shard as usize;
-            partials.push(per_shard[s][next[s]]);
-            next[s] += 1;
-        }
-        Ok(kernels::tree_sum(&partials))
-    }
-
-    fn scatter_group_sum(
-        &self,
-        rel: RelationId,
-        key_attr: AttrId,
-        value_attr: AttrId,
-    ) -> Result<Vec<(i64, f64)>> {
-        let mut span = obs::span("net", "scatter.group_sum");
-        let rels = self.rels.read();
-        let r = rels.get(rel as usize).ok_or(Error::UnknownRelation(rel))?;
-        self.numeric_ty(r, value_attr)?;
-        let key_ty = r.schema.ty(key_attr)?;
-        if !matches!(key_ty, DataType::Int32 | DataType::Int64 | DataType::Date) {
-            return Err(Error::NonNumericAggregate { attr: key_attr, got: key_ty.name() });
-        }
-        let k = self.sharding.nodes as usize;
-        if span.is_recording() {
-            span.arg("shards", k as u64);
-        }
-        let cluster = self.cluster.read();
-        let mut rtt = self.roll_requests(&cluster, k)?;
-        let (per_shard, exec) = self.run_shards(k, |shard| {
-            self.shard_group_partials(rel, r, shard, key_attr, value_attr)
-        })?;
-        let resp_bytes: Vec<u64> = per_shard
-            .iter()
-            .map(|frags| frags.iter().map(|f| f.len() as u64).sum::<u64>() * GROUP_PARTIAL_BYTES)
-            .collect();
-        self.roll_responses(&cluster, &mut rtt, &resp_bytes)?;
-        let settle = (0..k).map(|i| exec[i] + rtt[i]).max().unwrap_or(0);
-        self.ledger.advance_wall(settle);
-        // Gather: per-key partial lists accumulate in global fragment
-        // order, then reduce canonically per key.
-        let mut next = vec![0usize; k];
-        let mut acc: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-        for f in &r.frags {
-            let s = f.shard as usize;
-            for &(key, partial) in &per_shard[s][next[s]] {
-                acc.entry(key).or_default().push(partial);
+        if let Aggregate::GroupSum { key_attr } = *agg {
+            let key_ty = r.schema.ty(key_attr)?;
+            if !key_ty.is_integer() {
+                return Err(Error::NonNumericAggregate { attr: key_attr, got: key_ty.name() });
             }
-            next[s] += 1;
         }
-        Ok(acc.into_iter().map(|(key, ps)| (key, kernels::tree_sum(&ps))).collect())
+        if span.is_recording() {
+            span.arg("shards", self.sharding.nodes as u64);
+        }
+        let part = self.sharding.partition_rows as usize;
+        match *agg {
+            Aggregate::GroupSum { key_attr } => {
+                let task = |shard: usize| {
+                    let keys: Vec<i64> = r.stores[shard]
+                        .iter()
+                        .map(|rec| rec[key_attr as usize].as_i64())
+                        .collect::<Result<_>>()?;
+                    self.shard_partials(rel, r, shard, attr, |device, buf| {
+                        kernels::keyed_fragment_partials_f64(device, buf, &keys, part)
+                    })
+                };
+                let frags =
+                    self.scatter(r, task, |groups| groups.len() as u64 * GROUP_PARTIAL_BYTES)?;
+                // Per-key partial lists accumulate in global fragment
+                // order, then reduce canonically per key.
+                Ok(QueryOutput::Groups(kernels::merge_keyed_partials(&frags)))
+            }
+            _ => {
+                let keep = agg.pred().map(|p| move |v: f64| p.matches(v));
+                let task = |shard: usize| {
+                    self.shard_partials(rel, r, shard, attr, |device, buf| {
+                        kernels::fragment_partials_f64(device, buf, part, keep)
+                    })
+                };
+                let frags = self.scatter(r, task, |_| SUM_PARTIAL_BYTES)?;
+                // One partial per fragment, merged in global fragment
+                // order — the shard-invariant canonical reduction.
+                Ok(QueryOutput::Sum(kernels::tree_sum(&frags)))
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::{
-        execute, sharded_volcano_filter_sum, sharded_volcano_group_sum, sharded_volcano_sum,
-    };
+    use crate::physical::{execute, volcano, Segmentation};
     use crate::threading::ThreadingPolicy;
-    use htapg_core::plan::{LogicalPlan, PhysicalOp, Route};
+    use htapg_core::plan::{LogicalPlan, PhysicalOp, Predicate, Route};
     use htapg_core::prng::Prng;
 
     fn loaded(kind: ShardingKind, nodes: u32, rows: u64, part: u64) -> (ShardedEngine, RelationId) {
@@ -669,7 +650,10 @@ mod tests {
             assert_eq!(plan.root.route, Route::Scatter { shards: 4 });
             assert!(matches!(plan.root.children[0].op, PhysicalOp::Gather { shards: 4 }));
             let got = execute(&e, &plan, ThreadingPolicy::Single).unwrap();
-            let want = sharded_volcano_sum(&e, rel, 1, 256).unwrap();
+            let want = volcano(&e, rel, 1, &Aggregate::Sum, Segmentation::Fragments(256))
+                .unwrap()
+                .as_sum()
+                .unwrap();
             assert_eq!(got.as_sum().unwrap().to_bits(), want.to_bits(), "{kind:?}");
         }
     }
@@ -681,13 +665,16 @@ mod tests {
         let fplan = e.plan(&LogicalPlan::filter_sum(rel, 1, pred)).unwrap();
         assert_eq!(fplan.root.route, Route::Scatter { shards: 3 });
         let got = execute(&e, &fplan, ThreadingPolicy::Single).unwrap();
-        let want = sharded_volcano_filter_sum(&e, rel, 1, &pred, 128).unwrap();
+        let frags = Segmentation::Fragments(128);
+        let want =
+            volcano(&e, rel, 1, &Aggregate::FilterSum(pred), frags).unwrap().as_sum().unwrap();
         assert_eq!(got.as_sum().unwrap().to_bits(), want.to_bits());
 
         let gplan = e.plan(&LogicalPlan::group_sum(rel, 0, 1)).unwrap();
         assert_eq!(gplan.root.route, Route::Scatter { shards: 3 });
         let got = execute(&e, &gplan, ThreadingPolicy::Single).unwrap();
-        let want = sharded_volcano_group_sum(&e, rel, 0, 1, 128).unwrap();
+        let want = volcano(&e, rel, 1, &Aggregate::GroupSum { key_attr: 0 }, frags).unwrap();
+        let want = want.as_groups().unwrap().to_vec();
         let got = got.as_groups().unwrap();
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {
@@ -744,7 +731,10 @@ mod tests {
         let plan = e.plan(&LogicalPlan::sum(rel, 1)).unwrap();
         let after = execute(&e, &plan, ThreadingPolicy::Single).unwrap().as_sum().unwrap();
         assert_ne!(before.to_bits(), after.to_bits());
-        let want = sharded_volcano_sum(&e, rel, 1, 128).unwrap();
+        let want = volcano(&e, rel, 1, &Aggregate::Sum, Segmentation::Fragments(128))
+            .unwrap()
+            .as_sum()
+            .unwrap();
         assert_eq!(after.to_bits(), want.to_bits());
         assert_eq!(e.read_field(rel, 7, 1).unwrap(), Value::Float64(0.0));
     }

@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use htapg::engines::ReferenceEngine;
-//! use htapg::core::engine::{StorageEngine, StorageEngineExt};
+//! use htapg::core::engine::StorageEngine;
 //! use htapg::workload::tpcc::{item_attr, item_schema, Generator};
 //!
 //! let engine = ReferenceEngine::new();

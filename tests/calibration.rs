@@ -8,10 +8,11 @@
 
 use htapg::core::calibrate::{Calibrated, CalibrationProfiles};
 use htapg::core::engine::StorageEngine;
+use htapg::core::plan::Aggregate;
 use htapg::core::plan::{DeviceCostProfile, LogicalPlan, Route};
 use htapg::core::prng::env_seed;
 use htapg::engines::ReferenceEngine;
-use htapg::exec::physical::{self, QueryOutput};
+use htapg::exec::physical::{self, QueryOutput, Segmentation};
 use htapg::exec::threading::ThreadingPolicy;
 use htapg::workload::driver::{load_customers, run_sequential};
 use htapg::workload::queries::{mixed_stream, MixConfig};
@@ -53,7 +54,16 @@ fn residuals_flip_a_mispriced_device_route_to_the_host() {
         engine.insert(rel, &gen.item(i)).unwrap();
     }
     let logical = LogicalPlan::sum(rel, item_attr::I_PRICE);
-    let oracle = physical::volcano_sum(&engine, rel, item_attr::I_PRICE).unwrap();
+    let oracle = physical::volcano(
+        &engine,
+        rel,
+        item_attr::I_PRICE,
+        &Aggregate::Sum,
+        Segmentation::Canonical,
+    )
+    .unwrap()
+    .as_sum()
+    .unwrap();
     let warmup = engine.profiles().config().warmup;
 
     // Warm-up rounds: the lying profile keeps routing to the (cold)

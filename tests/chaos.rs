@@ -16,7 +16,7 @@ use std::sync::Arc;
 use htapg::core::calibrate::Calibrated;
 use htapg::core::engine::StorageEngine;
 use htapg::core::obs::{self, TraceReport, Tracer};
-use htapg::core::plan::{DeviceCostProfile, LogicalPlan, Route};
+use htapg::core::plan::{Aggregate, DeviceCostProfile, LogicalPlan, Route};
 use htapg::core::prng::env_seed;
 use htapg::core::wal::{MemStorage, Wal};
 use htapg::core::{DataType, Layout, LayoutTemplate, Record, Schema, ShardingKind, Value};
@@ -27,7 +27,7 @@ use htapg::device::{
 };
 use htapg::engines::{Es2Engine, MirrorsEngine, ReferenceEngine};
 use htapg::exec::device_exec::{cached_offload_sum, offload_sum, PipelineConfig};
-use htapg::exec::physical::{self, QueryOutput};
+use htapg::exec::physical::{self, QueryOutput, Segmentation};
 use htapg::exec::threading::ThreadingPolicy;
 use htapg::exec::ShardedEngine;
 use htapg::workload::tpcc::{item_attr, item_schema, Generator};
@@ -153,7 +153,16 @@ fn run_sharded(seed: u64, p: f64) -> (f64, Vec<(i64, f64)>, String) {
     }
     // Whatever the interconnect dropped, the gather is whole: the answer
     // matches the fragment-granularity volcano oracle bit for bit.
-    let oracle = physical::sharded_volcano_sum(&engine, rel, item_attr::I_PRICE, 128).unwrap();
+    let oracle = physical::volcano(
+        &engine,
+        rel,
+        item_attr::I_PRICE,
+        &Aggregate::Sum,
+        Segmentation::Fragments(128),
+    )
+    .unwrap()
+    .as_sum()
+    .unwrap();
     assert_eq!(
         sum.to_bits(),
         oracle.to_bits(),
@@ -459,7 +468,16 @@ fn device_faults_do_not_poison_calibration() {
         engine.insert(rel, &gen.item(i)).unwrap();
     }
     let logical = LogicalPlan::sum(rel, item_attr::I_PRICE);
-    let oracle = physical::volcano_sum(&engine, rel, item_attr::I_PRICE).unwrap();
+    let oracle = physical::volcano(
+        &engine,
+        rel,
+        item_attr::I_PRICE,
+        &Aggregate::Sum,
+        Segmentation::Canonical,
+    )
+    .unwrap()
+    .as_sum()
+    .unwrap();
 
     let clock = engine.trace_clock().expect("reference engine has a ledger clock");
     let tracer = Tracer::new(clock);

@@ -5,15 +5,14 @@
 //! the cluster ledger's wall delta, and the HTAP driver can mix routed
 //! point ops with scatter analytics on the executor pool.
 
+use htapg::core::calibrate::Calibrated;
 use htapg::core::engine::StorageEngine;
 use htapg::core::obs::{self, TraceReport, Tracer};
-use htapg::core::plan::{LogicalPlan, PhysicalOp, Predicate, Route};
+use htapg::core::plan::{Aggregate, LogicalPlan, PhysicalOp, Predicate, Route};
 use htapg::core::prng::{check_cases, env_seed, Prng};
 use htapg::core::{DataType, RelationId, Schema, ShardingKind, Value};
 use htapg::device::cluster::NetSpec;
-use htapg::exec::physical::{
-    self, sharded_volcano_filter_sum, sharded_volcano_group_sum, sharded_volcano_sum,
-};
+use htapg::exec::physical::{self, volcano, Segmentation};
 use htapg::exec::{ShardedEngine, ThreadingPolicy};
 use htapg::workload::driver::run_concurrent;
 use htapg::workload::queries::Op;
@@ -87,17 +86,34 @@ fn scatter_gather_is_bit_identical_to_single_node_at_every_scale() {
             let p = part as usize;
             assert_eq!(
                 base_sum.to_bits(),
-                sharded_volcano_sum(&e1, r1, 1, p).unwrap().to_bits(),
+                volcano(&e1, r1, 1, &Aggregate::Sum, Segmentation::Fragments(p))
+                    .unwrap()
+                    .as_sum()
+                    .unwrap()
+                    .to_bits(),
                 "case {case} {kind:?}: k=1 sum diverged from the volcano oracle"
             );
             assert_eq!(
                 base_filter.to_bits(),
-                sharded_volcano_filter_sum(&e1, r1, 1, &pred, p).unwrap().to_bits(),
+                volcano(&e1, r1, 1, &Aggregate::FilterSum(pred), Segmentation::Fragments(p))
+                    .unwrap()
+                    .as_sum()
+                    .unwrap()
+                    .to_bits(),
                 "case {case} {kind:?}: k=1 filter-sum diverged from the volcano oracle"
             );
             assert_groups_bits(
                 &base_groups,
-                &sharded_volcano_group_sum(&e1, r1, 0, 1, p).unwrap(),
+                volcano(
+                    &e1,
+                    r1,
+                    1,
+                    &Aggregate::GroupSum { key_attr: 0 },
+                    Segmentation::Fragments(p),
+                )
+                .unwrap()
+                .as_groups()
+                .unwrap(),
                 &format!("case {case} {kind:?}: k=1 group-sum vs oracle"),
             );
 
@@ -120,6 +136,36 @@ fn scatter_gather_is_bit_identical_to_single_node_at_every_scale() {
             }
         }
     });
+}
+
+/// A `Calibrated` wrapper forwards the shard evidence and the offload
+/// hook, so a calibrated sharded engine still plans scatter-gather and
+/// runs it on the shards, bit for bit the fragment oracle's answer.
+#[test]
+fn calibrated_sharded_engine_still_scatters() {
+    let seed = env_seed(0xCA1B);
+    let data = rows(&mut Prng::seed_from_u64(seed), 2_000);
+    let (e, rel) = load(ShardingKind::Hash, 4, 256, &data);
+    let e = Calibrated::new(Box::new(e));
+    let pred = Predicate::Ge(70_000.0);
+    for (logical, agg) in [
+        (LogicalPlan::sum(rel, 1), Aggregate::Sum),
+        (LogicalPlan::filter_sum(rel, 1, pred), Aggregate::FilterSum(pred)),
+        (LogicalPlan::group_sum(rel, 0, 1), Aggregate::GroupSum { key_attr: 0 }),
+    ] {
+        let plan = e.plan(&logical).unwrap();
+        assert_eq!(plan.root.route, Route::Scatter { shards: 4 }, "{agg:?} (HTAPG_SEED={seed})");
+        let got = physical::execute(&e, &plan, ThreadingPolicy::Single).unwrap();
+        let want = volcano(&e, rel, 1, &agg, Segmentation::Fragments(256)).unwrap();
+        match (got.as_groups(), want.as_groups()) {
+            (Some(g), Some(w)) => assert_groups_bits(g, w, &format!("{agg:?} (HTAPG_SEED={seed})")),
+            _ => assert_eq!(
+                got.as_sum().unwrap().to_bits(),
+                want.as_sum().unwrap().to_bits(),
+                "{agg:?} (HTAPG_SEED={seed})"
+            ),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -207,7 +253,11 @@ fn driver_mixes_routed_point_ops_with_scatter_analytics() {
     // even after the concurrent write traffic.
     assert_eq!(
         run_sum(&e, rel).to_bits(),
-        sharded_volcano_sum(&e, rel, 1, 256).unwrap().to_bits(),
+        volcano(&e, rel, 1, &Aggregate::Sum, Segmentation::Fragments(256))
+            .unwrap()
+            .as_sum()
+            .unwrap()
+            .to_bits(),
         "post-run sum diverged from the oracle (HTAPG_SEED={seed})"
     );
 

@@ -4,8 +4,9 @@
 //! in-place updates, and that the reference engine's snapshots are truly
 //! consistent under fire.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use htapg::core::engine::StorageEngine;
 use htapg::core::{Error, Value};
@@ -58,10 +59,12 @@ fn reference_engine_snapshots_preserve_invariants_under_transfers() {
     let total = 100.0 * rows as f64;
 
     let stop = Arc::new(AtomicBool::new(false));
+    let commits = Arc::new(AtomicU64::new(0));
     let mut writers = Vec::new();
     for w in 0..4u64 {
         let engine = engine.clone();
         let stop = stop.clone();
+        let commits = commits.clone();
         writers.push(std::thread::spawn(move || {
             let mut moved = 0u64;
             let mut attempt = 0u64;
@@ -97,6 +100,7 @@ fn reference_engine_snapshots_preserve_invariants_under_transfers() {
                 match result {
                     Ok(()) => {
                         engine.txn_commit(rel, &txn).unwrap();
+                        commits.fetch_add(1, Ordering::Relaxed);
                         moved += 1;
                     }
                     Err(Error::TxnConflict { .. }) => {
@@ -109,11 +113,21 @@ fn reference_engine_snapshots_preserve_invariants_under_transfers() {
         }));
     }
 
-    // Readers: every snapshot must see exactly the invariant total.
-    for _ in 0..50 {
+    // Readers: every snapshot must see exactly the invariant total. They
+    // check at least 50 snapshots, and keep checking until the writers have
+    // committed `MIN_COMMITS` transfers, so the snapshots overlap real
+    // concurrent commits however the threads are scheduled. The deadline
+    // only bounds a stuck writer; the liveness assertion below catches it.
+    const MIN_COMMITS: u64 = 20;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut checked = 0;
+    while checked < 50
+        || (commits.load(Ordering::Relaxed) < MIN_COMMITS && Instant::now() < deadline)
+    {
         let ts = engine.txn_manager().now();
         let sum = engine.sum_column_as_of(rel, customer_attr::C_BALANCE, ts).unwrap();
         assert!((sum - total).abs() < 1e-6, "snapshot sum {sum} broke the invariant {total}");
+        checked += 1;
     }
     stop.store(true, Ordering::Relaxed);
     let committed: u64 = writers.into_iter().map(|h| h.join().unwrap()).sum();

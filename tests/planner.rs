@@ -7,11 +7,13 @@
 //! host input goes to the pool, and an NSM-only engine scans value-visit.
 
 use htapg::core::engine::StorageEngine;
-use htapg::core::plan::{LogicalPlan, Predicate, Route, ScanStrategy, INLINE_MORSEL_ROWS};
+use htapg::core::plan::{
+    Aggregate, LogicalPlan, Predicate, Route, ScanStrategy, INLINE_MORSEL_ROWS,
+};
 use htapg::core::prng::check_cases;
-use htapg::core::Value;
+use htapg::core::{Error, Value};
 use htapg::engines::{all_surveyed_engines, MirrorsEngine, PlainEngine, ReferenceEngine};
-use htapg::exec::physical::{self, QueryOutput};
+use htapg::exec::physical::{self, QueryOutput, Segmentation};
 use htapg::exec::threading::ThreadingPolicy;
 use htapg::workload::tpcc::{item_attr, item_schema, Generator};
 
@@ -63,7 +65,16 @@ fn planned_routes_are_bit_identical_to_volcano() {
             }
             let sum = LogicalPlan::sum(rel, item_attr::I_PRICE);
             let got = planned_sum(engine, &sum);
-            let want = physical::volcano_sum(engine, rel, item_attr::I_PRICE).unwrap();
+            let want = physical::volcano(
+                engine,
+                rel,
+                item_attr::I_PRICE,
+                &Aggregate::Sum,
+                Segmentation::Canonical,
+            )
+            .unwrap()
+            .as_sum()
+            .unwrap();
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
@@ -73,8 +84,16 @@ fn planned_routes_are_bit_identical_to_volcano() {
 
             let fsum = LogicalPlan::filter_sum(rel, item_attr::I_PRICE, pred);
             let got = planned_sum(engine, &fsum);
-            let want =
-                physical::volcano_filter_sum(engine, rel, item_attr::I_PRICE, &pred).unwrap();
+            let want = physical::volcano(
+                engine,
+                rel,
+                item_attr::I_PRICE,
+                &Aggregate::FilterSum(pred),
+                Segmentation::Canonical,
+            )
+            .unwrap()
+            .as_sum()
+            .unwrap();
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
@@ -84,9 +103,17 @@ fn planned_routes_are_bit_identical_to_volcano() {
 
             let gsum = LogicalPlan::group_sum(rel, item_attr::I_IM_ID, item_attr::I_PRICE);
             let got = planned_groups(engine, &gsum);
-            let want =
-                physical::volcano_group_sum(engine, rel, item_attr::I_IM_ID, item_attr::I_PRICE)
-                    .unwrap();
+            let want = physical::volcano(
+                engine,
+                rel,
+                item_attr::I_PRICE,
+                &Aggregate::GroupSum { key_attr: item_attr::I_IM_ID },
+                Segmentation::Canonical,
+            )
+            .unwrap()
+            .as_groups()
+            .unwrap()
+            .to_vec();
             assert_eq!(got, want, "{} group-sum (n={n})", engine.name());
         }
     });
@@ -115,7 +142,16 @@ fn warm_device_and_cold_host_routes_agree_bitwise() {
     assert_eq!(warm_plan.bytes_to_device(), 0, "warm replica needs no PCIe");
     let warm_sum =
         physical::execute(&warm, &warm_plan, ThreadingPolicy::Single).unwrap().as_sum().unwrap();
-    let want = physical::volcano_sum(&warm, rel_w, item_attr::I_PRICE).unwrap();
+    let want = physical::volcano(
+        &warm,
+        rel_w,
+        item_attr::I_PRICE,
+        &Aggregate::Sum,
+        Segmentation::Canonical,
+    )
+    .unwrap()
+    .as_sum()
+    .unwrap();
     assert_eq!(warm_sum.to_bits(), want.to_bits(), "device route vs volcano");
 
     // Cold and tiny: not worth a kernel launch, stays inline on the host.
@@ -128,8 +164,67 @@ fn warm_device_and_cold_host_routes_agree_bitwise() {
     assert_eq!(cold_plan.route(), Route::InlineVolcano, "cold tiny relation stays inline");
     let cold_sum =
         physical::execute(&cold, &cold_plan, ThreadingPolicy::Single).unwrap().as_sum().unwrap();
-    let want = physical::volcano_sum(&cold, rel_c, item_attr::I_PRICE).unwrap();
+    let want = physical::volcano(
+        &cold,
+        rel_c,
+        item_attr::I_PRICE,
+        &Aggregate::Sum,
+        Segmentation::Canonical,
+    )
+    .unwrap()
+    .as_sum()
+    .unwrap();
     assert_eq!(cold_sum.to_bits(), want.to_bits(), "inline route vs volcano");
+}
+
+/// The reference engine's `sum_column_f64` answers on the host while no
+/// device replica is warm and on the device once one is. Both answers are
+/// bit-identical to the volcano oracle, so replica warmth never changes a
+/// result bit.
+#[test]
+fn reference_sum_bits_do_not_depend_on_replica_warmth() {
+    let gen = Generator::new(7);
+    let engine = ReferenceEngine::new();
+    let rel = engine.create_relation(item_schema()).unwrap();
+    for i in 0..100_000 {
+        engine.insert(rel, &gen.item(i)).unwrap();
+    }
+    assert!(engine.device_resident(rel).unwrap().is_empty(), "starts cold");
+    let cold = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+    engine
+        .offload_aggregate(rel, item_attr::I_PRICE, &Aggregate::Sum, Route::DevicePipelined)
+        .unwrap();
+    assert_eq!(engine.device_resident(rel).unwrap(), vec![item_attr::I_PRICE], "now warm");
+    let warm = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+    let oracle = physical::volcano(
+        &engine,
+        rel,
+        item_attr::I_PRICE,
+        &Aggregate::Sum,
+        Segmentation::Canonical,
+    )
+    .unwrap()
+    .as_sum()
+    .unwrap();
+    assert_eq!(cold.to_bits(), oracle.to_bits(), "cold host sum vs volcano");
+    assert_eq!(warm.to_bits(), oracle.to_bits(), "warm device sum vs volcano");
+}
+
+/// Summing a text column is a typed error on the reference engine's host
+/// path, never a silent `0.0`.
+#[test]
+fn reference_sum_of_a_text_column_is_a_typed_error() {
+    let gen = Generator::new(3);
+    let engine = ReferenceEngine::new();
+    let rel = engine.create_relation(item_schema()).unwrap();
+    for i in 0..1_000 {
+        engine.insert(rel, &gen.item(i)).unwrap();
+    }
+    let err = engine.sum_column_f64(rel, item_attr::I_NAME).unwrap_err();
+    assert!(
+        matches!(err, Error::NonNumericAggregate { attr, .. } if attr == item_attr::I_NAME),
+        "got {err:?}"
+    );
 }
 
 /// More than one morsel of host-routed input goes to the persistent pool;
@@ -148,7 +243,16 @@ fn host_route_splits_at_one_morsel() {
     assert_eq!(plan.route(), Route::HostPooledMorsel, "{n} rows exceed one morsel");
     let got =
         physical::execute(&engine, &plan, ThreadingPolicy::multi8()).unwrap().as_sum().unwrap();
-    let want = physical::volcano_sum(&engine, rel, item_attr::I_PRICE).unwrap();
+    let want = physical::volcano(
+        &engine,
+        rel,
+        item_attr::I_PRICE,
+        &Aggregate::Sum,
+        Segmentation::Canonical,
+    )
+    .unwrap()
+    .as_sum()
+    .unwrap();
     assert_eq!(got.to_bits(), want.to_bits(), "pooled route vs volcano");
 
     // One morsel exactly: a fresh relation stays inline.
